@@ -77,7 +77,9 @@ def _build_from_args(args: argparse.Namespace) -> GradedLieAlgebra:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """Write the report; a non-finite number raises ValueError, as bare NaN
+    or Infinity tokens are not JSON."""
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -176,16 +178,26 @@ def _load_kappa0(alg: GradedLieAlgebra, payload: dict) -> tuple[TwoCochain, dict
         R = np.asarray(payload["riemann"], dtype=float)
         if R.shape != (n, n, n, n):
             raise ValueError(f"riemann field must be a nested {n}^4 array")
+        if not np.isfinite(R).all():
+            raise ValueError("riemann field holds a non-finite entry (NaN or infinity)")
         kappa0 = curvature_from_riemann(alg, R)  # rejects kinds without raw input
         meta["embedding_sign"] = {"conformal": -1.0, "projective": 1.0}[alg.kind]
         return kappa0, meta
     data = np.asarray(payload["kappa0"], dtype=float)
     if data.shape != (n, n, n0):
         raise ValueError(f"kappa0 field must be a nested ({n}, {n}, {n0}) array")
+    if not np.isfinite(data).all():
+        raise ValueError("kappa0 field holds a non-finite entry (NaN or infinity)")
     return TwoCochain(0, data), meta
 
 
+def _check_tolerance(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"--tolerance must be a positive finite number, got {tol}")
+
+
 def cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
+    _check_tolerance(args.tolerance)
     alg = _build_from_args(args)
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -247,7 +259,8 @@ def _verify_point(
         # The structure tensor is not a graded Lie bracket; everything after
         # this point presupposes one, so stop here with the failure recorded.
         return checks
-    record("center_dim", center_dim(alg) == 1, value=center_dim(alg))
+    dim = center_dim(alg)
+    record("center_dim", dim == 1, value=dim)
     ranks = faithfulness_ranks(alg)
     record(
         "injectivity",
@@ -277,8 +290,8 @@ def _verify_point(
     record("z_drop", res == 0.0, res)
 
     fc = FrameChange.from_g0(alg, rng.uniform(-1.0, 1.0, n0), rng.uniform(-1.0, 1.0, n1))
-    record("frame_change_automorphism", automorphism_residual(alg, fc) <= 1e-10,
-           automorphism_residual(alg, fc))
+    res = automorphism_residual(alg, fc)
+    record("frame_change_automorphism", res <= 1e-10, res)
     t = TwoCochain(-1, rng.uniform(-1.0, 1.0, (n, n, n)))
     moved = torsion_equivariance(alg, t, fc)
     lhs = spencer_dstar(alg, moved).data
@@ -332,6 +345,9 @@ def _verify_point(
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.samples < 1:
+        raise ParameterError(f"--samples must be at least 1, got {args.samples}")
+    _check_tolerance(args.tolerance)
     points = _grid(args)
     if not points:
         raise ParameterError(f"no grid points match kind {args.kind!r}")
@@ -448,7 +464,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ParameterError, ValueError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_VALIDATION
-    _emit(report, args.output)
+    try:
+        _emit(report, args.output)
+    except ValueError as err:
+        # validated input never yields NaN or infinity; a report that does
+        # holds a broken computation, not a bad request
+        sys.stderr.write(f"error: report holds a non-finite number ({err})\n")
+        return EXIT_INVARIANT
     return code
 
 

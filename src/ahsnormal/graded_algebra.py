@@ -672,14 +672,35 @@ def grading_residual(alg: GradedLieAlgebra) -> float:
 
 
 def jacobi_residual(alg: GradedLieAlgebra) -> float:
-    """Max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples."""
-    C = alg.C
+    """Max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples.
+
+    The contraction runs grade block by grade block: for basis vectors of
+    grades (a, b, c) every term lands in grade a + b + c, so only triples
+    with |a + b + c| <= 1 are formed, and a term whose inner bracket leaves
+    the grading is skipped.  Entries off those blocks are what
+    :func:`grading_residual` measures, so this presumes a graded tensor.
+    The entries are dyadic rationals and every product and sum is exact,
+    so the result does not depend on the order of summation.
+    """
+    grades = (-1, 0, 1)
+    sl = {g: alg.grade_slice(g) for g in grades}
     worst = 0.0
-    for i in range(alg.n_total):
-        t1 = np.einsum("jm,mkl->jkl", C[i], C)
-        t2 = np.einsum("jkm,ml->jkl", C, C[:, i, :])
-        t3 = np.einsum("km,mjl->kjl", C[:, i, :], C).transpose(1, 0, 2)
-        worst = max(worst, float(np.abs(t1 + t2 + t3).max()))
+    for a in grades:
+        for b in grades:
+            for c in grades:
+                d = a + b + c
+                if abs(d) > 1:
+                    continue
+                total = 0.0
+                # [[i,j],k], [[j,k],i], [[k,i],j], each put back in (i, j, k, l) order
+                for x, y, w, perm in ((a, b, c, (0, 1, 2, 3)), (b, c, a, (2, 0, 1, 3)),
+                                      (c, a, b, (1, 2, 0, 3))):
+                    if abs(x + y) > 1:
+                        continue
+                    inner = alg.C[sl[x], sl[y], sl[x + y]]
+                    outer = alg.C[sl[x + y], sl[w], sl[d]]
+                    total = total + np.tensordot(inner, outer, axes=(2, 0)).transpose(perm)
+                worst = max(worst, float(np.abs(total).max()))
     return worst
 
 

@@ -389,30 +389,40 @@ def curvature_from_riemann(alg: GradedLieAlgebra, R: np.ndarray) -> TwoCochain:
 
 
 def trace_map_matrix(alg: GradedLieAlgebra) -> np.ndarray:
-    """Dense matrix of Gamma -> Tr(delta kappa0(Gamma)), assembled column by
-    column over the standard basis of g_{-1}^* (x) g_1."""
-    n, _, n1 = alg.dims
-    M = np.zeros((n * n, n * n1))
-    for c in range(n):
-        for u in range(n1):
-            E = np.zeros((n, n1))
-            E[c, u] = 1.0
-            col = trace_kappa0(alg, deformation_delta_kappa0(alg, OneCochain(1, E)))
-            M[:, c * n1 + u] = col.reshape(-1)
-    return M
+    """Dense matrix of Gamma -> Tr(delta kappa0(Gamma)).
+
+    Rows are flattened (x, y) trace slots, columns flattened (c, u) slots of
+    g_{-1}^* (x) g_1.  With B = C[g_1, g_{-1}, g_0] and act = C[g_0, g_{-1},
+    g_{-1}], the column of the basis cochain E_cu is, in closed form,
+
+        M[(x, y), (c, u)] = sum_k B[u, x, k] act[k, y, c] - delta_xc w[y, u],
+        w[y, u] = sum_{i, k} B[u, i, k] act[k, y, i].
+    """
+    n, n0, n1 = alg.dims
+    B = alg.block(1, -1)
+    act = alg.block(0, -1)
+    # one product per x, written straight into (x, (y, c), u) order
+    M = np.matmul(act.reshape(n0, n * n).T, B.transpose(1, 2, 0)).reshape(n, n, n, n1)
+    w = np.einsum("uik,kyi->yu", B, act)
+    diag = np.arange(n)
+    M[diag, :, diag, :] -= w
+    return M.reshape(n * n, n * n1)
 
 
 def trace_g0_map_matrix(alg: GradedLieAlgebra) -> np.ndarray:
-    """Dense matrix of Gamma -> Tr_g0(delta kappa0(Gamma)), same index layout."""
+    """Dense matrix of Gamma -> Tr_g0(delta kappa0(Gamma)), same index layout.
+
+    With beta[u, b] = Tr_g0 of [z_u, x_b], the column of E_cu is
+    M[(a, b), (c, u)] = delta_ac beta[u, b] - delta_bc beta[u, a].
+    """
     n, _, n1 = alg.dims
-    M = np.zeros((n * n, n * n1))
-    for c in range(n):
-        for u in range(n1):
-            E = np.zeros((n, n1))
-            E[c, u] = 1.0
-            col = trace_g0(alg, deformation_delta_kappa0(alg, OneCochain(1, E)))
-            M[:, c * n1 + u] = col.reshape(-1)
-    return M
+    tr_vec = np.einsum("caa->c", alg.block(0, -1))
+    beta = alg.block(1, -1) @ tr_vec
+    M = np.zeros((n, n, n, n1))
+    diag = np.arange(n)
+    M[diag, :, diag, :] += beta.T
+    M[:, diag, diag, :] -= beta.T[:, None, :]
+    return M.reshape(n * n, n * n1)
 
 
 def oracle_gamma(

@@ -88,8 +88,8 @@ def automorphism_residual(alg: GradedLieAlgebra, fc: FrameChange) -> float:
     for grade, mat in ((-1, fc.ad_m1), (0, fc.ad_0), (1, fc.ad_p1)):
         s = alg.grade_slice(grade)
         B[s, s] = mat
-    lhs = np.einsum("ui,vj,uvw->ijw", B, B, alg.C)
-    rhs = np.einsum("ijk,wk->ijw", alg.C, B)
+    lhs = np.einsum("ui,vj,uvw->ijw", B, B, alg.C, optimize=True)
+    rhs = np.einsum("ijk,wk->ijw", alg.C, B, optimize=True)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -111,7 +111,7 @@ def group_action_two_cochain(
     _check_two(alg, t)
     Binv = fc.inverse_m1()
     Bval = fc.ad_m1 if t.grade == -1 else fc.ad_0
-    data = np.einsum("ua,vb,uvw,kw->abk", Binv, Binv, t.data, Bval)
+    data = np.einsum("ua,vb,uvw,kw->abk", Binv, Binv, t.data, Bval, optimize=True)
     return TwoCochain(t.grade, data)
 
 

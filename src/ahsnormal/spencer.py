@@ -140,8 +140,53 @@ def dstar_matrix(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
     nv_t = B.shape[1]
     nv_o = B.shape[2]
     W = np.einsum("au,ukv->akv", Zd, B)
-    M = np.einsum("bc,akv->bvack", np.eye(n), W)
+    M = np.zeros((n, nv_o, n, n, nv_t))
+    diag = np.arange(n)
+    M[diag, :, :, diag, :] = W.transpose(2, 0, 1)  # M[b, v, a, b, k] = W[a, k, v]
     return M.reshape(n * nv_o, n * n * nv_t)
+
+
+def _pair_rows(alg: GradedLieAlgebra, one_grade: int) -> np.ndarray:
+    """Rows a < b of :func:`d_matrix`.
+
+    Row (b, a, k) of the differential is minus row (a, b, k) and row
+    (a, a, k) vanishes, so these rows span its row space.
+    """
+    n = alg.dims[0]
+    D = d_matrix(alg, one_grade)
+    ia, ib = np.triu_indices(n, 1)
+    return D.reshape(n, n, -1, D.shape[1])[ia, ib].reshape(-1, D.shape[1])
+
+
+def _pair_cols(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
+    """Columns a < b of the codifferential precomposed with the alternation.
+
+    Column (a, b, k) of the alternated matrix is half the difference of the
+    (a, b, k) and (b, a, k) columns of :func:`dstar_matrix`; column (b, a, k)
+    is its negative and column (a, a, k) vanishes.
+    """
+    n = alg.dims[0]
+    S = dstar_matrix(alg, two_grade)
+    S4 = S.reshape(S.shape[0], n, n, -1)
+    ia, ib = np.triu_indices(n, 1)
+    half = S4[:, ia, ib]
+    half -= S4[:, ib, ia]
+    half *= 0.5
+    return half.reshape(S.shape[0], -1)
+
+
+def _rank(A: np.ndarray, tol: float, copies: int = 1) -> int:
+    """Rank of a matrix standing for one whose rows (or columns) are those
+    of ``A`` repeated ``copies`` times up to sign.
+
+    The full matrix has the singular values of ``A`` times sqrt(copies), so
+    a singular value counts when it exceeds tol * max(1, max|A|) /
+    sqrt(copies), the full matrix's threshold.  An empty matrix has rank 0.
+    """
+    if A.size == 0:
+        return 0
+    s = np.linalg.svd(A, compute_uv=False)
+    return int((s > tol * max(1.0, float(np.abs(A).max())) / np.sqrt(copies)).sum())
 
 
 def complementarity_check(alg: GradedLieAlgebra, two_grade: int, tol: float = 1e-9) -> dict:
@@ -155,6 +200,13 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int, tol: float = 1e
     of d is alternating already, so dim(im d ∩ ker d*) = rank(d) -
     rank(d* d), and ker(d*) inside the alternating subspace is measured by
     the rank of d* precomposed with the alternation projector.
+
+    Every rank is taken in pair coordinates a < b.  The (b, a) rows of d
+    are the negatives of its (a, b) rows and its (a, a) rows vanish, so
+    the a < b rows carry its rank; the alternated d* has the same property
+    in its columns; and d* d = 2 (alternated d*)_{a<b} d_{a<b} exactly.
+    The full operators are dropped once their halves are taken, and each
+    threshold is the one the full matrix would get (see :func:`_rank`).
 
     Returns:
         dict with dim_image_d, dim_kernel_dstar, intersection_dim,
@@ -171,21 +223,12 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int, tol: float = 1e
             "total_dim": 0,
             "complementary": True,
         }
-    D = d_matrix(alg, two_grade + 1)
-    S = dstar_matrix(alg, two_grade)
-
-    def rank(A: np.ndarray) -> int:
-        return int(np.linalg.matrix_rank(A, tol=tol * max(1.0, float(np.abs(A).max()))))
-
-    r_im = rank(D)
-    inter = r_im - rank(S @ D)
-    # restrict d* to the alternating subspace by composing with the
-    # alternation projector, applied as a column reindexing of S
-    S_swapped = (
-        S.reshape(S.shape[0], n, n, nv).transpose(0, 2, 1, 3).reshape(S.shape)
-    )
-    r_s = rank(0.5 * (S - S_swapped))
-    r_ker = total - r_s
+    D = _pair_rows(alg, two_grade + 1)
+    S = _pair_cols(alg, two_grade)
+    r_im = _rank(D, tol, copies=2)
+    inter = r_im - _rank(2.0 * (S @ D), tol)
+    del D
+    r_ker = total - _rank(S, tol, copies=2)
     return {
         "dim_image_d": r_im,
         "dim_kernel_dstar": r_ker,
@@ -212,19 +255,19 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str, tol: float = 1e-9) -> int:
     H11 is computed as ker(d on grade-0 one-cochains) modulo the image of
     ad: g_1 -> g_{-1}^* (x) g_0 (that image lies inside the kernel, which is
     asserted).  H21 is the kernel of d on grade-1 one-cochains; nothing maps
-    into that spot because the grading stops at g_1.
+    into that spot because the grading stops at g_1.  The kernel of d is
+    read off its a < b rows, as in :func:`complementarity_check`.
     """
     n, n0, n1 = alg.dims
     if level == "H11":
-        D = d_matrix(alg, 0)
+        D = _pair_rows(alg, 0)
         ad = alg.block(1, -1).reshape(n1, n * n0).T
-        if np.abs(D @ ad).max() > 1e-10:
+        if D.size and np.abs(D @ ad).max() > 1e-10:
             raise AssertionError("ad image is not d-closed; structure tensor corrupt")
-        nullD = n * n0 - int(np.linalg.matrix_rank(D, tol=tol * max(1.0, float(np.abs(D).max()))))
+        nullD = n * n0 - _rank(D, tol, copies=2)
         return nullD - int(np.linalg.matrix_rank(ad, tol=tol))
     if level == "H21":
-        D = d_matrix(alg, 1)
-        return n * n1 - int(np.linalg.matrix_rank(D, tol=tol * max(1.0, float(np.abs(D).max()))))
+        return n * n1 - _rank(_pair_rows(alg, 1), tol, copies=2)
     raise ValueError(f"level must be 'H11' or 'H21', got {level!r}")
 
 

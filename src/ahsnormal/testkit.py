@@ -29,7 +29,7 @@ from .normalization import (
     curvature_from_riemann,
     deformation_delta_kappa0,
     ricci_from_riemann,
-    trace_map_matrix,
+    trace_kappa0,
 )
 from .spencer import (
     OneCochain,
@@ -140,10 +140,11 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
     nv = _value_dim(alg, grade)
     D = d_matrix(alg, grade + 1)
     S = dstar_matrix(alg, grade)
-    W = np.linalg.pinv(S @ D, rcond=1e-12) @ S
+    # W = pinv(d* d) d* is applied as two products, never formed
+    P = np.linalg.pinv(S @ D, rcond=1e-12)
 
     def harm(vec: np.ndarray) -> np.ndarray:
-        return vec - D @ (W @ vec)
+        return vec - D @ (P @ (S @ vec))
 
     def swap_cols(M: np.ndarray) -> np.ndarray:
         return M.reshape(M.shape[0], n, n, nv).transpose(0, 2, 1, 3).reshape(M.shape)
@@ -159,7 +160,7 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
         # block trace as a map on the harmonic subspace, restricted to
         # alternating inputs; its pseudoinverse yields the correction that
         # cancels the block-trace data without leaving the subspace
-        G = R - (R @ D) @ W
+        G = R - ((R @ D) @ P) @ S
         Gp = np.linalg.pinv(0.5 * (G - swap_cols(G)), rcond=1e-12)
 
     def draw(rng: np.random.Generator) -> TwoCochain:
@@ -307,7 +308,18 @@ def random_curvature(spec: SampleSpec) -> list[CurvatureData]:
 def brute_force_trace_map(alg: GradedLieAlgebra) -> np.ndarray:
     """Dense matrix of Gamma -> Tr(delta kappa0(Gamma)), column by basis column.
 
-    Thin alias of the normalization module's assembly, re-exported here as
-    the designated independent oracle for closed-form validation.
+    Each column applies :func:`deformation_delta_kappa0` and then
+    :func:`trace_kappa0` to one basis cochain E_cu, so it shares no code
+    with the closed-form assembly in
+    :func:`ahsnormal.normalization.trace_map_matrix` and serves as its
+    independent oracle.
     """
-    return trace_map_matrix(alg)
+    n, _, n1 = alg.dims
+    M = np.zeros((n * n, n * n1))
+    for c in range(n):
+        for u in range(n1):
+            E = np.zeros((n, n1))
+            E[c, u] = 1.0
+            col = trace_kappa0(alg, deformation_delta_kappa0(alg, OneCochain(1, E)))
+            M[:, c * n1 + u] = col.reshape(-1)
+    return M

@@ -16,6 +16,24 @@ GRID = (
     + [("spinorial", {"m": m}) for m in range(3, 7)]
 )
 
+# The 17-point default grid of ``ahsnormal verify``.
+VERIFY_GRID = (
+    [("conformal", {"m": m}) for m in range(3, 6)]
+    + [("grassmannian", {"p": p, "q": q}) for p in range(1, 4) for q in range(p, 4)]
+    + [("projective", {"q": q}) for q in range(2, 4)]
+    + [("lagrangian", {"m": m}) for m in range(3, 6)]
+    + [("spinorial", {"m": m}) for m in range(3, 6)]
+)
+
+# The largest tested point of each kind.
+LARGEST = [
+    ("conformal", {"m": 6}),
+    ("grassmannian", {"p": 4, "q": 4}),
+    ("projective", {"q": 4}),
+    ("lagrangian", {"m": 6}),
+    ("spinorial", {"m": 6}),
+]
+
 # One small representative per kind, for tests where the property is
 # parameter-independent and the full grid would only add runtime.
 SMALL = [

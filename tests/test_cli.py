@@ -177,6 +177,46 @@ def test_normalize_input_validation(tmp_path):
     assert main(["normalize", "--kind", "lagrangian", "--m", "3", "--input", str(raw)]) == EXIT_VALIDATION
 
 
+def test_normalize_rejects_non_finite_curvature(tmp_path):
+    alg = algebra("projective", q=2)
+    n, n0, _ = alg.dims
+    argv = ["normalize", "--kind", "projective", "--q", "2"]
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        k0 = np.zeros((n, n, n0))
+        k0[0, 1, 2] = bad
+        R = np.asarray(constant_curvature(n))
+        R[1, 0, 1, 0] = bad
+        for field, value in (("kappa0", k0), ("riemann", R)):
+            src = tmp_path / f"{field}.json"
+            src.write_text(json.dumps({field: value.tolist()}))  # bare NaN/Infinity tokens
+            out = tmp_path / "out.json"
+            code = main(argv + ["--input", str(src), "--output", str(out)])
+            assert code == EXIT_VALIDATION, (field, bad)
+            assert not out.exists()
+
+
+def test_non_finite_report_is_never_emitted(monkeypatch, capsys):
+    from ahsnormal import cli
+
+    monkeypatch.setattr(cli, "cmd_algebra_info", lambda args: ({"residual": float("nan")}, EXIT_OK))
+    assert main(["algebra-info", "--kind", "conformal", "--m", "3"]) == EXIT_INVARIANT
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_tolerance_rejected(tmp_path):
+    src = tmp_path / "curv.json"
+    src.write_text(json.dumps({"riemann": constant_curvature(2)}))
+    commands = (
+        ["verify", "--kind", "projective", "--q", "2", "--samples", "1"],
+        ["normalize", "--kind", "projective", "--q", "2", "--input", str(src)],
+    )
+    for argv in commands:
+        for tol in ("nan", "inf", "-inf", "0", "-1e-9"):
+            out = tmp_path / "out.json"
+            assert main(argv + [f"--tolerance={tol}", "--output", str(out)]) == EXIT_VALIDATION
+            assert not out.exists(), (argv[0], tol)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -195,6 +235,31 @@ def test_verify_single_point_passes(tmp_path):
     names = [c["check"] for c in point["checks"]]
     assert "jacobi" in names and "normalization_round_trip" in names
     assert all(c["passed"] for c in point["checks"])
+
+
+def test_verify_rejects_samples_below_one(tmp_path):
+    for samples in ("0", "-1"):
+        out = tmp_path / "v.json"
+        argv = ["verify", "--kind", "conformal", "--m", "3", f"--samples={samples}"]
+        assert main(argv + ["--output", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+
+
+def test_verify_calls_automorphism_once_per_point(monkeypatch, tmp_path):
+    from ahsnormal import cli
+
+    calls = []
+    real = cli.automorphism_residual
+
+    def counting(alg, fc):
+        calls.append((alg.kind, dict(alg.params)))
+        return real(alg, fc)
+
+    monkeypatch.setattr(cli, "automorphism_residual", counting)
+    code, rep, _ = run_to_file(tmp_path, "v.json", ["verify", "--kind", "conformal", "--samples", "1"])
+    assert code == EXIT_OK
+    assert calls == [(p["kind"], p["params"]) for p in rep["points"]]
+    assert len(calls) == 3
 
 
 def test_verify_byte_identical_reruns(tmp_path):
