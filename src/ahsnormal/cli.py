@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -94,7 +95,10 @@ def _grid(args: argparse.Namespace) -> list[tuple[str, dict]]:
         for name in ("p", "q", "m")
         if getattr(args, name, None) is not None
     }
-    if args.kind and explicit:
+    if explicit and not args.kind:
+        flags = ", ".join(f"--{name}" for name in explicit)
+        raise ParameterError(f"{flags} name one grid point and need --kind as well")
+    if explicit:
         return [(args.kind, explicit)]
     points: list[tuple[str, dict]] = []
     for m in range(3, 6):
@@ -175,20 +179,34 @@ def _load_kappa0(alg: GradedLieAlgebra, payload: dict) -> tuple[TwoCochain, dict
     if has_k == has_r:
         raise ValueError("curvature file must contain exactly one of 'kappa0' or 'riemann'")
     if has_r:
-        R = np.asarray(payload["riemann"], dtype=float)
-        if R.shape != (n, n, n, n):
-            raise ValueError(f"riemann field must be a nested {n}^4 array")
-        if not np.isfinite(R).all():
-            raise ValueError("riemann field holds a non-finite entry (NaN or infinity)")
+        R = _numeric_field(payload, "riemann", (n, n, n, n))
         kappa0 = curvature_from_riemann(alg, R)  # rejects kinds without raw input
         meta["embedding_sign"] = {"conformal": -1.0, "projective": 1.0}[alg.kind]
         return kappa0, meta
-    data = np.asarray(payload["kappa0"], dtype=float)
-    if data.shape != (n, n, n0):
-        raise ValueError(f"kappa0 field must be a nested ({n}, {n}, {n0}) array")
+    return TwoCochain(0, _numeric_field(payload, "kappa0", (n, n, n0))), meta
+
+
+def _numeric_field(payload: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The nested array ``payload[name]`` as floats of the given shape.
+
+    Every leaf must be a finite JSON number: strings and booleans (``bool``
+    is its own type here) are rejected, not coerced as ``np.asarray`` would.
+    """
+    level = [payload[name]]
+    while True:  # one level of nesting at a time, so each type scan runs in C
+        types = set(map(type, level))
+        if not types <= {list, int, float}:
+            bad = next(v for v in level if type(v) not in (list, int, float))
+            raise ValueError(f"{name} field holds a non-numeric entry {bad!r}")
+        if types != {list}:
+            break  # the leaves; a ragged level fails the conversion below
+        level = list(chain.from_iterable(level))
+    data = np.asarray(payload[name], dtype=float)  # OverflowError past the float range
+    if data.shape != shape:
+        raise ValueError(f"{name} field must be a nested array of shape {shape}")
     if not np.isfinite(data).all():
-        raise ValueError("kappa0 field holds a non-finite entry (NaN or infinity)")
-    return TwoCochain(0, data), meta
+        raise ValueError(f"{name} field holds a non-finite entry (NaN or infinity)")
+    return data
 
 
 def _check_tolerance(tol: float) -> None:
@@ -461,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonUniquenessError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_NONUNIQUE
-    except (ParameterError, ValueError, OSError, json.JSONDecodeError) as err:
+    except (ParameterError, ValueError, OverflowError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_VALIDATION
     try:

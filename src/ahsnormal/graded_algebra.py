@@ -19,7 +19,7 @@ serves as an independent oracle (:func:`cross_check_matrix_rep`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,11 +45,6 @@ class GradedElement:
     def from_full(alg: "GradedLieAlgebra", v: np.ndarray) -> "GradedElement":
         n, n0, _ = alg.dims
         return GradedElement(v[:n].copy(), v[n : n + n0].copy(), v[n + n0 :].copy())
-
-    @staticmethod
-    def zero(alg: "GradedLieAlgebra") -> "GradedElement":
-        n, n0, n1 = alg.dims
-        return GradedElement(np.zeros(n), np.zeros(n0), np.zeros(n1))
 
 
 @dataclass(eq=False)
@@ -85,7 +80,6 @@ class GradedLieAlgebra:
     g0_blocks: dict[str, np.ndarray]
     normalizable: bool
     projective_type: bool
-    _meta: dict = field(default_factory=dict)
 
     # -- index helpers -------------------------------------------------
 
@@ -115,9 +109,6 @@ class GradedLieAlgebra:
     def bracket_full(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.einsum("i,j,ijk->k", x, y, self.C)
 
-    def bracket(self, x: GradedElement, y: GradedElement) -> GradedElement:
-        return GradedElement.from_full(self, self.bracket_full(x.full(), y.full()))
-
     def dual_basis(self) -> np.ndarray:
         """Matrix M with row a = g_1 coordinates of the dual vector z^a.
 
@@ -142,11 +133,6 @@ def build_algebra(kind: str, **params) -> GradedLieAlgebra:
     extra = set(params) - expected[kind]
     if extra:
         raise ParameterError(f"unexpected parameters {sorted(extra)} for kind {kind!r}")
-    if kind == "conformal":
-        m = _want_int(params, "m", kind)
-        if m < 3:
-            raise ParameterError(f"conformal requires m >= 3, got m = {m}")
-        return _build_conformal(m)
     if kind == "grassmannian":
         p = _want_int(params, "p", kind)
         q = _want_int(params, "q", kind)
@@ -158,15 +144,12 @@ def build_algebra(kind: str, **params) -> GradedLieAlgebra:
         if q < 2:
             raise ParameterError(f"projective requires q >= 2, got q = {q}")
         return _build_projective(q)
-    if kind == "lagrangian":
-        m = _want_int(params, "m", kind)
-        if m < 3:
-            raise ParameterError(f"lagrangian requires m >= 3, got m = {m}")
-        return _build_lagrangian(m)
     m = _want_int(params, "m", kind)
     if m < 3:
-        raise ParameterError(f"spinorial requires m >= 3, got m = {m}")
-    return _build_spinorial(m)
+        raise ParameterError(f"{kind} requires m >= 3, got m = {m}")
+    if kind == "conformal":
+        return _build_conformal(m)
+    return _build_pair(m, 1 if kind == "lagrangian" else -1)
 
 
 def _want_int(params: dict, name: str, kind: str) -> int:
@@ -178,6 +161,45 @@ def _want_int(params: dict, name: str, kind: str) -> int:
     return int(value)
 
 
+def _pairs(m: int, eps: int) -> list[tuple[int, int]]:
+    """Ordered index pairs k <= l (eps = +1, Sym^2) or k < l (eps = -1, Lambda^2)."""
+    return [(k, l) for k in range(m) for l in range(k if eps > 0 else k + 1, m)]
+
+
+def _pair_index(pairs: list[tuple[int, int]], eps: int) -> dict:
+    """(a, b) -> (t, sign) with x(a, b) = sign * x(pairs[t]) and x(b, a) = eps * x(a, b)."""
+    index = {}
+    for t, (k, l) in enumerate(pairs):
+        index[(k, l)] = (t, 1.0)
+        index[(l, k)] = (t, float(eps))
+    return index
+
+
+def _gl_basis(m: int) -> np.ndarray:
+    """Matrices of the gl(m) basis h(i, j) = E_ji, at flat index i*m + j."""
+    mats = np.zeros((m * m, m, m))
+    for i in range(m):
+        for j in range(m):
+            mats[i * m + j][j, i] = 1.0
+    return mats
+
+
+def _fill_gl_internal(C: np.ndarray, m: int, o0: int, put) -> None:
+    """gl(m) internal brackets [h(i,j), h(k,l)] = d_il h(k,j) - d_kj h(i,l).
+
+    Each pair c1 = h(i,j) < c2 is visited only where a delta can fire:
+    l = i for the first term, k = j for the second.
+    """
+    for i in range(m):
+        for j in range(m):
+            c1 = i * m + j
+            for v in range(m):
+                if v * m + i > c1:
+                    put(o0 + c1, o0 + v * m + i, o0 + v * m + j, 1.0)
+                if j * m + v > c1:
+                    put(o0 + c1, o0 + j * m + v, o0 + i * m + v, -1.0)
+
+
 # ---------------------------------------------------------------------------
 # conformal: so(m+1, 1) in a light-cone basis
 # ---------------------------------------------------------------------------
@@ -185,7 +207,7 @@ def _want_int(params: dict, name: str, kind: str) -> int:
 
 def _build_conformal(m: int) -> GradedLieAlgebra:
     n = m
-    rot = [(k, l) for k in range(m) for l in range(m) if k < l]
+    rot = _pairs(m, -1)
     n0 = 1 + len(rot)
     N = n + n0 + n
 
@@ -193,16 +215,11 @@ def _build_conformal(m: int) -> GradedLieAlgebra:
     labels += ["Z0"] + [f"F({k + 1},{l + 1})" for k, l in rot]
     labels += [f"z{j + 1}" for j in range(m)]
 
-    rot_idx = {kl: 1 + t for t, kl in enumerate(rot)}
-
-    def f_coeff(i: int, j: int) -> tuple[int, float]:
-        """Index and sign of F_ij in the ordered basis (F_ij = -F_ji)."""
-        if i < j:
-            return rot_idx[(i, j)], 1.0
-        return rot_idx[(j, i)], -1.0
+    f_at = _pair_index(rot, -1)  # F_ij = -F_ji
 
     C = np.zeros((N, N, N))
     o0, o1 = n, n + n0
+    of = o0 + 1  # F(k, l) = rot[t] sits at of + t
 
     def put(i: int, j: int, k: int, v: float) -> None:
         C[i, j, k] += v
@@ -214,8 +231,8 @@ def _build_conformal(m: int) -> GradedLieAlgebra:
             if i == j:
                 put(i, o1 + j, o0, -1.0)
             else:
-                t, s = f_coeff(i, j)
-                put(i, o1 + j, o0 + t, s)
+                t, s = f_at[(i, j)]
+                put(i, o1 + j, of + t, s)
 
     # [Z0, x_j] = -x_j ; [Z0, z_j] = +z_j
     for j in range(m):
@@ -225,30 +242,30 @@ def _build_conformal(m: int) -> GradedLieAlgebra:
     # [F_kl, x_j] = delta_lj x_k - delta_kj x_l, and the same so(m) pattern
     # on g_1 (required by invariance of the pairing):
     # [F_kl, z_j] = delta_lj z_k - delta_kj z_l
-    for (k, l), t in ((kl, rot_idx[kl]) for kl in rot):
+    for t, (k, l) in enumerate(rot):
         for j in range(m):
             if l == j:
-                put(o0 + t, j, k, 1.0)
-                put(o0 + t, o1 + j, o1 + k, 1.0)
+                put(of + t, j, k, 1.0)
+                put(of + t, o1 + j, o1 + k, 1.0)
             if k == j:
-                put(o0 + t, j, l, -1.0)
-                put(o0 + t, o1 + j, o1 + l, -1.0)
+                put(of + t, j, l, -1.0)
+                put(of + t, o1 + j, o1 + l, -1.0)
 
     # [F_ij, F_kl] = d_jk F_il - d_ik F_jl - d_jl F_ik + d_il F_jk
-    for (i, j), t1 in ((kl, rot_idx[kl]) for kl in rot):
-        for (k, l), t2 in ((kl, rot_idx[kl]) for kl in rot):
+    for t1, (i, j) in enumerate(rot):
+        for t2, (k, l) in enumerate(rot):
             if t2 <= t1:
                 continue
             for (a, b), coef in (((i, l), float(j == k)), ((j, l), -float(i == k)),
                                  ((i, k), -float(j == l)), ((j, k), float(i == l))):
                 if coef != 0.0 and a != b:
-                    u, s = f_coeff(a, b)
-                    put(o0 + t1, o0 + t2, o0 + u, coef * s)
+                    u, s = f_at[(a, b)]
+                    put(of + t1, of + t2, of + u, coef * s)
 
     a_vec = np.zeros(n0)
     a_vec[0] = 1.0
     E_mats = np.zeros((n0, m, m))
-    for (k, l), t in ((kl, rot_idx[kl]) for kl in rot):
+    for t, (k, l) in enumerate(rot, 1):
         E_mats[t][k, l] = 1.0
         E_mats[t][l, k] = -1.0
 
@@ -282,22 +299,15 @@ def _build_grassmannian(p: int, q: int) -> GradedLieAlgebra:
     g0_labels: list[str] = []
     A_mats = []
     D_mats = []
-    for u in range(p):
-        for v in range(p):
-            if u != v:
-                A = np.zeros((p, p))
-                A[v, u] = 1.0
-                A_mats.append(A)
-                D_mats.append(np.zeros((q, q)))
-                g0_labels.append(f"a^{u + 1}_{v + 1}")
-    for u in range(q):
-        for v in range(q):
-            if u != v:
-                D = np.zeros((q, q))
-                D[v, u] = 1.0
-                A_mats.append(np.zeros((p, p)))
-                D_mats.append(D)
-                g0_labels.append(f"d^{u + 1}_{v + 1}")
+    off_p = [(u, v) for u in range(p) for v in range(p) if u != v]
+    off_q = [(u, v) for u in range(q) for v in range(q) if u != v]
+    for name, off in (("a", off_p), ("d", off_q)):
+        for u, v in off:
+            A, D = np.zeros((p, p)), np.zeros((q, q))
+            (A if name == "a" else D)[v, u] = 1.0
+            A_mats.append(A)
+            D_mats.append(D)
+            g0_labels.append(f"{name}^{u + 1}_{v + 1}")
     for k in range(p + q - 1):
         A = np.zeros((p, p))
         D = np.zeros((q, q))
@@ -317,9 +327,6 @@ def _build_grassmannian(p: int, q: int) -> GradedLieAlgebra:
 
     A_mats = np.array(A_mats)
     D_mats = np.array(D_mats)
-
-    off_p = [(u, v) for u in range(p) for v in range(p) if u != v]
-    off_q = [(u, v) for u in range(q) for v in range(q) if u != v]
 
     def pair_to_coords(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         """Coordinates of (A, D) in s(gl(p)+gl(q)); requires tr A + tr D = 0."""
@@ -434,23 +441,7 @@ def _build_projective(q: int) -> GradedLieAlgebra:
             put(o0 + h_idx(i, j), i, j, 1.0)
             put(o0 + h_idx(i, j), o1 + j, o1 + i, -1.0)
 
-    # [h(i,j), h(k,l)] = delta_il h(k,j) - delta_kj h(i,l)
-    for i in range(q):
-        for j in range(q):
-            for k in range(q):
-                for l in range(q):
-                    c1, c2 = h_idx(i, j), h_idx(k, l)
-                    if c2 <= c1:
-                        continue
-                    if i == l:
-                        put(o0 + c1, o0 + c2, o0 + h_idx(k, j), 1.0)
-                    if k == j:
-                        put(o0 + c1, o0 + c2, o0 + h_idx(i, l), -1.0)
-
-    F_mats = np.zeros((n0, q, q))
-    for i in range(q):
-        for j in range(q):
-            F_mats[h_idx(i, j)][j, i] = 1.0
+    _fill_gl_internal(C, q, o0, put)
 
     return GradedLieAlgebra(
         kind="projective",
@@ -459,24 +450,26 @@ def _build_projective(q: int) -> GradedLieAlgebra:
         labels=labels,
         C=C,
         pairing=np.eye(n),
-        g0_blocks={"F": F_mats},
+        g0_blocks={"F": _gl_basis(q)},
         normalizable=True,
         projective_type=True,
     )
 
 
 # ---------------------------------------------------------------------------
-# lagrangian: sp(2m), g_{-1} = Sym^2 R^m
+# the pair kinds: g_{-1} is the eps-symmetric square of R^m, g_0 = gl(m)
+#   lagrangian  sp(2m),   eps = +1, g_{-1} = Sym^2 R^m
+#   spinorial   so(m, m), eps = -1, g_{-1} = Lambda^2 R^m
 # ---------------------------------------------------------------------------
 
 
-def _sym_pairs(m: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(m) for l in range(k, m)]
+def _build_pair(m: int, eps: int) -> GradedLieAlgebra:
+    """sp(2m) (eps = +1) or so(m, m) (eps = -1) with the gl(m) grading.
 
-
-def _build_lagrangian(m: int) -> GradedLieAlgebra:
-    pairs = _sym_pairs(m)
-    pidx = {kl: t for t, kl in enumerate(pairs)}
+    The basis x(k, l), z(k, l) runs over :func:`_pairs`; off the stored
+    order, x(l, k) = eps * x(k, l), and x(k, k) is absent when eps = -1.
+    """
+    pairs = _pairs(m, eps)
     n = len(pairs)
     n0 = m * m
     N = 2 * n + n0
@@ -485,11 +478,7 @@ def _build_lagrangian(m: int) -> GradedLieAlgebra:
     labels += [f"h({i + 1},{j + 1})" for i in range(m) for j in range(m)]
     labels += [f"z({k + 1},{l + 1})" for k, l in pairs]
 
-    def h_idx(i: int, j: int) -> int:
-        return i * m + j
-
-    def sflat(a: int, b: int) -> int:
-        return pidx[(a, b) if a <= b else (b, a)]
+    flat = _pair_index(pairs, eps)
 
     C = np.zeros((N, N, N))
     o0, o1 = n, n + n0
@@ -498,156 +487,44 @@ def _build_lagrangian(m: int) -> GradedLieAlgebra:
         C[i, j, k] += v
         C[j, i, k] -= v
 
-    # [z(s,t), x(k,l)] = -1/4 (d_sk h(t,l) + d_sl h(t,k) + d_tk h(s,l) + d_tl h(s,k))
-    for s, t in pairs:
-        for k, l in pairs:
-            zi, xi = o1 + pidx[(s, t)], pidx[(k, l)]
-            for du, hv in (((s, k), (t, l)), ((s, l), (t, k)),
-                           ((t, k), (s, l)), ((t, l), (s, k))):
-                if du[0] == du[1]:
-                    put(zi, xi, o0 + h_idx(*hv), -0.25)
+    # [z(s,t), x(k,l)] = -1/4 (eps d_sk h(t,l) + d_sl h(t,k) + d_tk h(s,l) + eps d_tl h(s,k))
+    for zt, (s, t) in enumerate(pairs):
+        for xt, (k, l) in enumerate(pairs):
+            if s == k:
+                put(o1 + zt, xt, o0 + t * m + l, -0.25 * eps)
+            if s == l:
+                put(o1 + zt, xt, o0 + t * m + k, -0.25)
+            if t == k:
+                put(o1 + zt, xt, o0 + s * m + l, -0.25)
+            if t == l:
+                put(o1 + zt, xt, o0 + s * m + k, -0.25 * eps)
 
-    # [h(p,w), x(k,l)] = d_pk x(w,l) + d_pl x(w,k)
-    # [z(s,t), h(p,w)] = d_tw z(p,s) + d_sw z(p,t)
-    for pp in range(m):
-        for w in range(m):
-            hc = o0 + h_idx(pp, w)
-            for k, l in pairs:
-                if pp == k:
-                    put(hc, pidx[(k, l)], sflat(w, l), 1.0)
-                if pp == l:
-                    put(hc, pidx[(k, l)], sflat(w, k), 1.0)
-            for s, t in pairs:
-                zi = o1 + pidx[(s, t)]
-                if t == w:
-                    put(zi, hc, o1 + sflat(pp, s), 1.0)
-                if s == w:
-                    put(zi, hc, o1 + sflat(pp, t), 1.0)
+    # [h(p,w), x(k,l)] = d_pk x(w,l) + eps d_pl x(w,k)
+    # [z(s,t), h(p,w)] = d_tw z(s,p) + eps d_sw z(t,p)
+    # so pair t = (k, l) meets h(k,v), h(l,v) on g_{-1} and h(v,l), h(v,k) on g_1
+    for t, (k, l) in enumerate(pairs):
+        for v in range(m):
+            for hc, a, b, sg in ((k * m + v, v, l, 1.0), (l * m + v, v, k, eps)):
+                if (a, b) in flat:
+                    u, su = flat[(a, b)]
+                    put(o0 + hc, t, u, sg * su)
+            for hc, a, b, sg in ((v * m + l, k, v, 1.0), (v * m + k, l, v, eps)):
+                if (a, b) in flat:
+                    u, su = flat[(a, b)]
+                    put(o1 + t, o0 + hc, o1 + u, sg * su)
 
     _fill_gl_internal(C, m, o0, put)
 
-    P = np.diag([1.0 if k == l else 0.5 for k, l in pairs])
-    A_mats = np.zeros((n0, m, m))
-    for i in range(m):
-        for j in range(m):
-            A_mats[h_idx(i, j)][j, i] = 1.0
-
     return GradedLieAlgebra(
-        kind="lagrangian",
+        kind="lagrangian" if eps > 0 else "spinorial",
         params={"m": m},
         dims=(n, n0, n),
         labels=labels,
         C=C,
-        pairing=P,
-        g0_blocks={"A": A_mats},
+        pairing=np.diag([1.0 if k == l else 0.5 for k, l in pairs]),
+        g0_blocks={"A": _gl_basis(m)},
         normalizable=True,
-        projective_type=False,
-    )
-
-
-def _fill_gl_internal(C: np.ndarray, m: int, o0: int, put) -> None:
-    """gl(m) internal brackets [h(i,j), h(k,l)] = d_il h(k,j) - d_kj h(i,l)."""
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                for l in range(m):
-                    c1, c2 = i * m + j, k * m + l
-                    if c2 <= c1:
-                        continue
-                    if i == l:
-                        put(o0 + c1, o0 + c2, o0 + k * m + j, 1.0)
-                    if k == j:
-                        put(o0 + c1, o0 + c2, o0 + i * m + l, -1.0)
-
-
-# ---------------------------------------------------------------------------
-# spinorial: so(m, m), g_{-1} = Lambda^2 R^m
-# ---------------------------------------------------------------------------
-
-
-def _alt_pairs(m: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(m) for l in range(m) if k < l]
-
-
-def _build_spinorial(m: int) -> GradedLieAlgebra:
-    pairs = _alt_pairs(m)
-    pidx = {kl: t for t, kl in enumerate(pairs)}
-    n = len(pairs)
-    n0 = m * m
-    N = 2 * n + n0
-
-    labels = [f"x({k + 1},{l + 1})" for k, l in pairs]
-    labels += [f"h({i + 1},{j + 1})" for i in range(m) for j in range(m)]
-    labels += [f"z({k + 1},{l + 1})" for k, l in pairs]
-
-    def h_idx(i: int, j: int) -> int:
-        return i * m + j
-
-    def aflat(a: int, b: int) -> tuple[int, float] | None:
-        if a == b:
-            return None
-        if a < b:
-            return pidx[(a, b)], 1.0
-        return pidx[(b, a)], -1.0
-
-    C = np.zeros((N, N, N))
-    o0, o1 = n, n + n0
-
-    def put(i: int, j: int, k: int, v: float) -> None:
-        C[i, j, k] += v
-        C[j, i, k] -= v
-
-    # [z(s,t), x(k,l)] = 1/4 (-d_sl h(t,k) + d_tl h(s,k) + d_sk h(t,l) - d_tk h(s,l))
-    for s, t in pairs:
-        for k, l in pairs:
-            zi, xi = o1 + pidx[(s, t)], pidx[(k, l)]
-            for du, hv, sg in (((s, l), (t, k), -1.0), ((t, l), (s, k), 1.0),
-                               ((s, k), (t, l), 1.0), ((t, k), (s, l), -1.0)):
-                if du[0] == du[1]:
-                    put(zi, xi, o0 + h_idx(*hv), 0.25 * sg)
-
-    # [h(p,w), x(k,l)] = d_pk x(w,l) - d_pl x(w,k)
-    # [z(s,t), h(p,w)] = d_tw z(s,p) - d_sw z(t,p)
-    for pp in range(m):
-        for w in range(m):
-            hc = o0 + h_idx(pp, w)
-            for k, l in pairs:
-                if pp == k:
-                    r = aflat(w, l)
-                    if r is not None:
-                        put(hc, pidx[(k, l)], r[0], r[1])
-                if pp == l:
-                    r = aflat(w, k)
-                    if r is not None:
-                        put(hc, pidx[(k, l)], r[0], -r[1])
-            for s, t in pairs:
-                zi = o1 + pidx[(s, t)]
-                if t == w:
-                    r = aflat(s, pp)
-                    if r is not None:
-                        put(zi, hc, o1 + r[0], r[1])
-                if s == w:
-                    r = aflat(t, pp)
-                    if r is not None:
-                        put(zi, hc, o1 + r[0], -r[1])
-
-    _fill_gl_internal(C, m, o0, put)
-
-    A_mats = np.zeros((n0, m, m))
-    for i in range(m):
-        for j in range(m):
-            A_mats[h_idx(i, j)][j, i] = 1.0
-
-    return GradedLieAlgebra(
-        kind="spinorial",
-        params={"m": m},
-        dims=(n, n0, n),
-        labels=labels,
-        C=C,
-        pairing=0.5 * np.eye(n),
-        g0_blocks={"A": A_mats},
-        normalizable=True,
-        projective_type=(m == 3),
+        projective_type=(eps < 0 and m == 3),
     )
 
 
@@ -809,13 +686,13 @@ def matrix_representation(alg: GradedLieAlgebra) -> np.ndarray:
     if kind in ("lagrangian", "spinorial"):
         m = prm["m"]
         s = 2 * m
-        sign = 1.0 if kind == "lagrangian" else -1.0
-        pairs = _sym_pairs(m) if kind == "lagrangian" else _alt_pairs(m)
+        eps = 1.0 if kind == "lagrangian" else -1.0
+        pairs = _pairs(m, eps)
         rep = np.zeros((alg.n_total, s, s))
         for t, (k, l) in enumerate(pairs):
             B = np.zeros((m, m))
             B[k, l] += 0.5
-            B[l, k] += 0.5 * sign
+            B[l, k] += 0.5 * eps
             rep[t][:m, m:] = B
             rep[n + n0 + t][m:, :m] = B
         for c in range(n0):

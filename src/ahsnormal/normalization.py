@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra
+from .graded_algebra import GradedLieAlgebra, _pairs
 from .spencer import OneCochain, TwoCochain, _check_two, spencer_dstar
 
 
@@ -203,6 +203,11 @@ def gamma_projective(q: int, riemann: np.ndarray) -> DeformationTensor:
     ric = ricci_from_riemann(riemann)
     if ric.shape != (q, q):
         raise ValueError(f"Riemann tensor must be {q}^4")
+    return _gamma_projective_from_ricci(q, ric)
+
+
+def _gamma_projective_from_ricci(q: int, ric: np.ndarray) -> DeformationTensor:
+    """The formula of :func:`gamma_projective` on given Ricci data."""
     G = (ric + q * ric.T) / (q * q - 1.0)
     return DeformationTensor("projective", {"q": q}, OneCochain(1, G), "closed_form")
 
@@ -234,96 +239,72 @@ def gamma_grassmannian(p: int, q: int, trace_r: np.ndarray, trace_g0_2: np.ndarr
     )
 
 
-def _sym_pairs(m: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(m) for l in range(k, m)]
-
-
-def _alt_pairs(m: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(m) for l in range(m) if k < l]
-
-
 def gamma_lagrangian(m: int, trace_r: np.ndarray) -> DeformationTensor:
     """Lagrangian deformation tensor from the Ricci-type trace data alone.
 
-    ``trace_r`` is indexed by the ordered symmetric pairs k <= l.  With
-    T[a,b,c,d] the data expanded to all index pairs,
-
-    Gamma[p,q,k,l] = (m*T[k,l,p,q] + T[q,l,p,k] + T[q,k,p,l]) / (m(m+1) - 2)
-
-    in all-pairs coefficients; the formula inverts the trace map exactly on
-    deformation tensors that are symmetric under exchange of the input and
-    output symmetric pairs, which is the class produced by normalizing an
-    admissible connection.
+    ``trace_r`` is indexed by the ordered symmetric pairs k <= l; see
+    :func:`_gamma_pair` with eps = +1 for the formula and its validity class.
     """
     if m < 3:
         raise NonUniquenessError(f"lagrangian trace inversion needs m >= 3, got {m}")
-    pairs = _sym_pairs(m)
-    n = len(pairs)
-    trace_r = np.asarray(trace_r, dtype=float)
-    if trace_r.shape != (n, n):
-        raise ValueError(f"trace data must be {n} x {n}")
-    T4 = np.zeros((m, m, m, m))
-    for s, (a, b) in enumerate(pairs):
-        for t, (c, d) in enumerate(pairs):
-            v = trace_r[s, t]
-            for aa, bb in ((a, b), (b, a)):
-                for cc, dd in ((c, d), (d, c)):
-                    T4[aa, bb, cc, dd] = v
-    G4 = (
-        m * np.einsum("klpq->pqkl", T4)
-        + np.einsum("qlpk->pqkl", T4)
-        + np.einsum("qkpl->pqkl", T4)
-    ) / (m * (m + 1) - 2.0)
-    G4 = 0.5 * (G4 + G4.transpose(1, 0, 2, 3))
-    G4 = 0.5 * (G4 + G4.transpose(0, 1, 3, 2))
-    G = np.zeros((n, n))
-    for t, (i, j) in enumerate(pairs):
-        for u, (s, tt) in enumerate(pairs):
-            G[t, u] = (1.0 if s == tt else 2.0) * G4[s, tt, i, j]
-    return DeformationTensor("lagrangian", {"m": m}, OneCochain(1, G), "closed_form")
+    return _gamma_pair(m, trace_r, 1)
 
 
 def gamma_spinorial(m: int, trace_r: np.ndarray) -> DeformationTensor:
     """Spinorial deformation tensor from the Ricci-type trace data alone.
 
-    ``trace_r`` is indexed by the ordered alternating pairs k < l.  With
-    T[a,b,c,d] the data expanded antisymmetrically to all index pairs,
-
-    Gamma[p,q,k,l] = (m*T[k,l,p,q] + T[q,l,p,k] - T[q,k,p,l]) / (2 - m(m-1))
-
-    in all-pairs coefficients, exact on pair-exchange symmetric deformation
-    tensors as in the lagrangian case.  Note the denominator sign: for the
-    exterior-square grading the trace of the curvature shift reproduces the
-    deformation tensor with an overall minus, the opposite of the
-    symmetric-square (lagrangian) case where the factor is +(m(m+1) - 2).
+    ``trace_r`` is indexed by the ordered alternating pairs k < l; see
+    :func:`_gamma_pair` with eps = -1 for the formula and its validity class.
     """
     if m < 3:
         raise NonUniquenessError(f"spinorial trace inversion needs m >= 3, got {m}")
-    pairs = _alt_pairs(m)
+    return _gamma_pair(m, trace_r, -1)
+
+
+def _gamma_pair(m: int, trace_r: np.ndarray, eps: int) -> DeformationTensor:
+    """Closed form for the pair kinds, g_{-1} the eps-symmetric square of R^m.
+
+    With T[a,b,c,d] the trace data expanded to all index pairs by
+    T[b,a,c,d] = T[a,b,d,c] = eps * T[a,b,c,d],
+
+    Gamma[p,q,k,l] = (m*T[k,l,p,q] + T[q,l,p,k] + eps*T[q,k,p,l]) / (eps*(m(m+eps) - 2))
+
+    in all-pairs coefficients: the denominator is m(m+1) - 2 for the
+    lagrangian kind (eps = +1) and 2 - m(m-1) for the spinorial kind
+    (eps = -1), where the trace of the curvature shift reproduces the
+    deformation tensor with an overall minus.  The formula inverts the
+    trace map exactly on deformation tensors that are symmetric under
+    exchange of the input and output pairs, which is the class produced by
+    normalizing an admissible connection.
+    """
+    pairs = _pairs(m, eps)
     n = len(pairs)
     trace_r = np.asarray(trace_r, dtype=float)
     if trace_r.shape != (n, n):
         raise ValueError(f"trace data must be {n} x {n}")
+    k, l = np.array(pairs).T
     T4 = np.zeros((m, m, m, m))
-    for s, (a, b) in enumerate(pairs):
-        for t, (c, d) in enumerate(pairs):
-            v = trace_r[s, t]
-            T4[a, b, c, d] = v
-            T4[b, a, c, d] = -v
-            T4[a, b, d, c] = -v
-            T4[b, a, d, c] = v
+    for a, b, sa in ((k, l, 1.0), (l, k, eps)):
+        for c, d, sc in ((k, l, 1.0), (l, k, eps)):
+            T4[a[:, None], b[:, None], c, d] = (sa * sc) * trace_r
     G4 = (
         m * np.einsum("klpq->pqkl", T4)
         + np.einsum("qlpk->pqkl", T4)
-        - np.einsum("qkpl->pqkl", T4)
-    ) / (2.0 - m * (m - 1))
-    G4 = 0.5 * (G4 - G4.transpose(1, 0, 2, 3))
-    G4 = 0.5 * (G4 - G4.transpose(0, 1, 3, 2))
-    G = np.zeros((n, n))
-    for t, (i, j) in enumerate(pairs):
-        for u, (s, tt) in enumerate(pairs):
-            G[t, u] = 2.0 * G4[s, tt, i, j]
-    return DeformationTensor("spinorial", {"m": m}, OneCochain(1, G), "closed_form")
+        + eps * np.einsum("qkpl->pqkl", T4)
+    ) / (eps * (m * (m + eps) - 2.0))
+    G4 = 0.5 * (G4 + eps * G4.transpose(1, 0, 2, 3))
+    G4 = 0.5 * (G4 + eps * G4.transpose(0, 1, 3, 2))
+    G = _pair_coefficients(G4, pairs)
+    kind = "lagrangian" if eps > 0 else "spinorial"
+    return DeformationTensor(kind, {"m": m}, OneCochain(1, G), "closed_form")
+
+
+def _pair_coefficients(F: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Pair-basis matrix G[t, u] = w_u * F[k_u, l_u, k_t, l_t] of an all-pairs
+    tensor, where pairs[t] = (k_t, l_t) and w = 1 on pairs with k = l, else 2."""
+    k, l = np.array(pairs).T
+    w = np.where(k == l, 1.0, 2.0)
+    return w * F[k, l, k[:, None], l[:, None]]
 
 
 def gamma_closed_form(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor:
@@ -335,13 +316,8 @@ def gamma_closed_form(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationT
         ric = -T
         return gamma_conformal(alg.params["m"], ric, float(np.trace(ric)))
     if kind == "projective":
-        q = alg.params["q"]
-        if q < 2:
-            raise NonUniquenessError("projective trace inversion needs q >= 2")
-        # T = Ric^T for curvature embedded with the projective sign, so the
-        # Riemann-based formula becomes (q*T + T^T) / (q^2 - 1).
-        G = (q * T + T.T) / (q * q - 1.0)
-        return DeformationTensor("projective", {"q": q}, OneCochain(1, G), "closed_form")
+        # T = Ric^T for curvature embedded with the projective sign
+        return _gamma_projective_from_ricci(alg.params["q"], T.T)
     if kind == "grassmannian":
         G2 = block_trace_g0(alg, kappa0, "D")
         return gamma_grassmannian(alg.params["p"], alg.params["q"], T, G2)
@@ -372,8 +348,7 @@ def curvature_from_riemann(alg: GradedLieAlgebra, R: np.ndarray) -> TwoCochain:
     if alg.kind == "conformal":
         m = alg.params["m"]
         data = np.zeros((n, n, alg.dims[1]))
-        rot = _alt_pairs(m)
-        for t, (u, v) in enumerate(rot):
+        for t, (u, v) in enumerate(_pairs(m, -1)):
             data[:, :, 1 + t] = -R[u, v, :, :]
         return TwoCochain(0, data)
     if alg.kind == "projective":

@@ -32,7 +32,6 @@ from .spencer import (
     TwoCochain,
     _check_one,
     _check_two,
-    d_matrix,
     spencer_d,
 )
 
@@ -259,22 +258,3 @@ def flat_structure_function(
         S[:n, :n, alg.grade_slice(0)] += kappa0.data
     return S
 
-
-def transitivity_witness(alg: GradedLieAlgebra) -> dict:
-    """Fiber-transitivity witness: every d-closed grade-0 one-cochain is ad_Z.
-
-    The cochains ad_Z(X) = [Z, X] for Z in g_1 take values in g_0 and are
-    d-closed by :func:`z_drop_residual`; since ad is injective, the
-    inclusion ad(g_1) into ker(d) is an equality exactly when the kernel
-    has dimension dim g_1, i.e. when the cohomology at that spot vanishes.
-    It fails for the projective-type gradings.
-    """
-    n, n0, n1 = alg.dims
-    D = d_matrix(alg, 0)
-    rank = int(np.linalg.matrix_rank(D, tol=1e-9 * max(1.0, float(np.abs(D).max()))))
-    null = n * n0 - rank
-    return {
-        "dim_ker_d": null,
-        "dim_g1": n1,
-        "transitive": bool(null == n1),
-    }

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra
+from .graded_algebra import GradedLieAlgebra, _pairs
 
 ONE_COCHAIN_GRADES = (0, 1)
 TWO_COCHAIN_GRADES = (-1, 0)
@@ -240,7 +240,7 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int, tol: float = 1e
 
 def _alternating_injection(n: int, nv: int) -> np.ndarray:
     """Isometry-up-to-scale from (a<b, k) coordinates into full (a, b, k) storage."""
-    pairs = [(a, b) for a in range(n) for b in range(n) if a < b]
+    pairs = _pairs(n, -1)
     M = np.zeros((n * n * nv, len(pairs) * nv))
     for t, (a, b) in enumerate(pairs):
         for k in range(nv):

@@ -19,13 +19,14 @@ Symmetry flags understood by :func:`random_curvature`:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, build_algebra
+from .graded_algebra import GradedLieAlgebra, _pairs, build_algebra
 from .normalization import (
     CurvatureData,
+    _pair_coefficients,
     curvature_from_riemann,
     deformation_delta_kappa0,
     ricci_from_riemann,
@@ -95,6 +96,20 @@ def riemann_projection(T: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"kind {kind!r} has no raw curvature symmetry class")
 
 
+def _block_trace_rows(alg: GradedLieAlgebra, grade: int) -> np.ndarray:
+    """Matrix sending a vectorized (n, n, nv) cochain to the gl(q)-block trace
+    of its value at each argument pair (grassmannian grade 0 only)."""
+    if grade != 0 or "D" not in alg.g0_blocks:
+        raise ValueError("block_trace_free applies to grassmannian grade-0 cochains")
+    n = alg.dims[0]
+    nv = _value_dim(alg, grade)
+    tr = np.einsum("caa->c", alg.g0_blocks["D"])
+    R = np.zeros((n * n, n * n * nv))
+    for a in range(n * n):
+        R[a, a * nv : (a + 1) * nv] = tr
+    return R
+
+
 def harmonic_basis(
     alg: GradedLieAlgebra, grade: int, block_trace_free: bool = False
 ) -> np.ndarray:
@@ -112,13 +127,7 @@ def harmonic_basis(
     alt = _alternating_injection(n, nv)
     rows = [dstar_matrix(alg, grade)]
     if block_trace_free:
-        if grade != 0 or "D" not in alg.g0_blocks:
-            raise ValueError("block_trace_free applies to grassmannian grade-0 cochains")
-        tr = np.einsum("caa->c", alg.g0_blocks["D"])
-        R = np.zeros((n * n, n * n * nv))
-        for a in range(n * n):
-            R[a, a * nv : (a + 1) * nv] = tr
-        rows.append(R)
+        rows.append(_block_trace_rows(alg, grade))
     M = np.vstack(rows) @ alt
     _, s, vt = np.linalg.svd(M)
     smax = s[0] if s.size else 0.0
@@ -151,12 +160,7 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
 
     Gp = R = None
     if block_trace_free:
-        if grade != 0 or "D" not in alg.g0_blocks:
-            raise ValueError("block_trace_free applies to grassmannian grade-0 cochains")
-        tr = np.einsum("caa->c", alg.g0_blocks["D"])
-        R = np.zeros((n * n, n * n * nv))
-        for a in range(n * n):
-            R[a, a * nv : (a + 1) * nv] = tr
+        R = _block_trace_rows(alg, grade)
         # block trace as a map on the harmonic subspace, restricted to
         # alternating inputs; its pseudoinverse yields the correction that
         # cancels the block-trace data without leaving the subspace
@@ -176,23 +180,6 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
     return draw
 
 
-def random_harmonic(
-    alg: GradedLieAlgebra,
-    grade: int,
-    rng: np.random.Generator,
-    sampler=None,
-    block_trace_free: bool = False,
-) -> TwoCochain:
-    """Random element of the (optionally block-trace-free) harmonic subspace.
-
-    Pass a precomputed :func:`harmonic_sampler` to amortize its setup cost
-    over many draws.
-    """
-    if sampler is None:
-        sampler = harmonic_sampler(alg, grade, block_trace_free)
-    return sampler(rng)
-
-
 def random_gamma(alg: GradedLieAlgebra, rng: np.random.Generator) -> OneCochain:
     """Random deformation tensor in the kind's closed-form validity class.
 
@@ -208,25 +195,13 @@ def random_gamma(alg: GradedLieAlgebra, rng: np.random.Generator) -> OneCochain:
     if alg.kind in ("grassmannian", "projective"):
         return OneCochain(1, rng.uniform(-1.0, 1.0, (n, n1)))
     m = alg.params["m"]
+    eps = 1.0 if alg.kind == "lagrangian" else -1.0
     F = rng.uniform(-1.0, 1.0, (m, m, m, m))
-    if alg.kind == "lagrangian":
-        F = 0.25 * (
-            F + F.transpose(1, 0, 2, 3) + F.transpose(0, 1, 3, 2) + F.transpose(1, 0, 3, 2)
-        )
-        pairs = [(k, l) for k in range(m) for l in range(k, m)]
-        weight = lambda s, t: 1.0 if s == t else 2.0
-    else:
-        F = 0.25 * (
-            F - F.transpose(1, 0, 2, 3) - F.transpose(0, 1, 3, 2) + F.transpose(1, 0, 3, 2)
-        )
-        pairs = [(k, l) for k in range(m) for l in range(m) if k < l]
-        weight = lambda s, t: 2.0
+    F = 0.25 * (
+        F + eps * F.transpose(1, 0, 2, 3) + eps * F.transpose(0, 1, 3, 2) + F.transpose(1, 0, 3, 2)
+    )
     F = 0.5 * (F + F.transpose(2, 3, 0, 1))
-    G = np.zeros((n, n1))
-    for t, (i, j) in enumerate(pairs):
-        for u, (s, tt) in enumerate(pairs):
-            G[t, u] = weight(s, tt) * F[s, tt, i, j]
-    return OneCochain(1, G)
+    return OneCochain(1, _pair_coefficients(F, _pairs(m, eps)))
 
 
 def round_trip_sample(

@@ -195,6 +195,43 @@ def test_normalize_rejects_non_finite_curvature(tmp_path):
             assert not out.exists()
 
 
+def _all_strings(nested):
+    if isinstance(nested, list):
+        return [_all_strings(v) for v in nested]
+    return str(nested)
+
+
+def _with_leaf(nested, index, value):
+    out = json.loads(json.dumps(nested))
+    target = out
+    for i in index[:-1]:
+        target = target[i]
+    target[index[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize("case", ["all strings", "one string", "one boolean", "one huge integer"])
+def test_normalize_rejects_non_numeric_curvature(tmp_path, case):
+    # a JSON integer beyond the float range is not a usable number either
+    alg = algebra("projective", q=2)
+    n, n0, _ = alg.dims
+    fields = {"kappa0": (np.zeros((n, n, n0)).tolist(), (0, 1, 2)),
+              "riemann": (constant_curvature(n), (1, 0, 1, 0))}
+    bad_leaf = {"one string": "0.5", "one boolean": True, "one huge integer": 10**400}
+    for field, (value, index) in fields.items():
+        if case == "all strings":
+            value = _all_strings(value)
+        else:
+            value = _with_leaf(value, index, bad_leaf[case])
+        src = tmp_path / f"{field}.json"
+        src.write_text(json.dumps({field: value}))
+        out = tmp_path / "out.json"
+        code = main(["normalize", "--kind", "projective", "--q", "2", "--input", str(src),
+                     "--output", str(out)])
+        assert code == EXIT_VALIDATION, field
+        assert not out.exists()
+
+
 def test_non_finite_report_is_never_emitted(monkeypatch, capsys):
     from ahsnormal import cli
 
@@ -235,6 +272,14 @@ def test_verify_single_point_passes(tmp_path):
     names = [c["check"] for c in point["checks"]]
     assert "jacobi" in names and "normalization_round_trip" in names
     assert all(c["passed"] for c in point["checks"])
+
+
+def test_verify_point_parameters_require_kind(tmp_path, capsys):
+    for argv in (["verify", "--m", "4"], ["verify", "--check", "h11", "--p", "1", "--q", "2"]):
+        out = tmp_path / "v.json"
+        assert main(argv + ["--samples", "1", "--output", str(out)]) == EXIT_VALIDATION
+        assert not out.exists()
+        assert "--kind" in capsys.readouterr().err
 
 
 def test_verify_rejects_samples_below_one(tmp_path):
