@@ -370,6 +370,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if not points:
         raise ParameterError(f"no grid points match kind {args.kind!r}")
     if args.check == "h11":
+        if args.debug_mutate:
+            raise ParameterError("--debug-mutate runs the full suite; it cannot go with --check h11")
         entries = []
         for kind, params in points:
             alg = build_algebra(kind, **params)
@@ -479,6 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     except NonUniquenessError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_NONUNIQUE
+    except RecursionError:
+        # json.load of input nested deeper than the interpreter's stack allows
+        sys.stderr.write("error: input nested too deeply\n")
+        return EXIT_VALIDATION
     except (ParameterError, ValueError, OverflowError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_VALIDATION

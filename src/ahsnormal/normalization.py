@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded_algebra import GradedLieAlgebra, _pairs
-from .spencer import OneCochain, TwoCochain, _check_two, spencer_dstar
+from .spencer import Blocks, OneCochain, Triplets, TwoCochain, _check_two, spencer_dstar
 
 
 class NonUniquenessError(RuntimeError):
@@ -408,8 +408,12 @@ def oracle_gamma(
 ) -> DeformationTensor:
     """Solve Tr(delta kappa0(Gamma)) = Tr(kappa0) for Gamma by least squares.
 
-    ``trace_matrix`` may carry a precomputed :func:`trace_map_matrix` to
-    amortize the assembly over many solves on the same algebra.
+    The trace map is inverted one connected block at a time (see
+    :class:`ahsnormal.spencer.Blocks`); a singular value counts towards the
+    kernel when it is at most tol * max(smax, 1), smax the largest of all
+    blocks.  ``trace_matrix`` may carry a precomputed
+    :func:`trace_map_matrix` to amortize the assembly over many solves on
+    the same algebra.
 
     Raises:
         NonUniquenessError: the assembled trace map has a nontrivial kernel
@@ -419,9 +423,9 @@ def oracle_gamma(
     """
     n, _, n1 = alg.dims
     M = trace_map_matrix(alg) if trace_matrix is None else trace_matrix
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    kernel_dim = int((s <= tol * max(smax, 1.0)).sum())
+    # one SVD per block gives both the kernel count and the solve
+    Minv, rank = Blocks.split(Triplets.from_dense(M)).pinv(tol, floor=1.0)
+    kernel_dim = M.shape[1] - rank
     if kernel_dim > 0:
         raise NonUniquenessError(
             f"trace map has a {kernel_dim}-dimensional kernel; "
@@ -429,7 +433,7 @@ def oracle_gamma(
             kernel_dim=kernel_dim,
         )
     b = trace_kappa0(alg, kappa0).reshape(-1)
-    x, *_ = np.linalg.lstsq(M, b, rcond=None)
+    x = Minv @ b
     residual = float(np.abs(M @ x - b).max())
     scale = max(1.0, float(np.abs(b).max()))
     if residual > tol * scale:
@@ -448,9 +452,8 @@ def uniqueness_certificate(alg: GradedLieAlgebra, tol: float = 1e-9) -> dict:
     S = np.vstack([M, trace_g0_map_matrix(alg)])
 
     def kdim(A: np.ndarray) -> int:
-        sv = np.linalg.svd(A, compute_uv=False)
-        smax = sv[0] if sv.size else 0.0
-        return int(A.shape[1] - (sv > tol * max(smax, 1.0)).sum())
+        sv = Blocks.split(Triplets.from_dense(A)).singular_values()
+        return int(A.shape[1] - (sv > tol * max(sv.max(initial=0.0), 1.0)).sum())
 
     k_trace = kdim(M)
     k_stacked = kdim(S)

@@ -106,87 +106,289 @@ def spencer_dstar(alg: GradedLieAlgebra, phi: TwoCochain) -> OneCochain:
     return OneCochain(phi.grade + 1, out)
 
 
-def d_matrix(alg: GradedLieAlgebra, one_grade: int) -> np.ndarray:
-    """Dense matrix of the differential on grade-``one_grade`` one-cochains.
+class Triplets:
+    """A sparse matrix as (row, column, value) triplets.
+
+    No (row, column) pair repeats.  ``T @ x`` and ``x @ T`` take a dense
+    vector or matrix ``x``, or another :class:`Triplets` on the right.
+    """
+
+    __array_ufunc__ = None  # ``ndarray @ Triplets`` defers to __rmatmul__
+
+    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.vals = np.asarray(vals, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> Triplets:
+        rows, cols = np.nonzero(A)
+        return cls(rows, cols, A[rows, cols], A.shape)
+
+    @classmethod
+    def summed(cls, rows, cols, vals, shape: tuple[int, int]) -> Triplets:
+        """Triplets from entries whose repeated (row, column) pairs add up;
+        entries that sum to zero are dropped."""
+        key, inv = np.unique(np.asarray(rows) * shape[1] + cols, return_inverse=True)
+        vals = np.bincount(inv, weights=vals, minlength=key.size)
+        keep = vals != 0.0
+        return cls(*np.divmod(key[keep], shape[1]), vals[keep], shape)
+
+    @property
+    def T(self) -> Triplets:
+        return Triplets(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros(self.shape)
+        M[self.rows, self.cols] = self.vals
+        return M
+
+    def __rmul__(self, scale: float) -> Triplets:
+        return Triplets(self.rows, self.cols, scale * self.vals, self.shape)
+
+    def __matmul__(self, x):
+        if isinstance(x, Triplets):
+            # join every entry (i, k) of self with the entries (k, j) of x
+            count = np.bincount(x.rows, minlength=x.shape[0])
+            start = np.cumsum(count) - count
+            reps = count[self.cols]
+            mine = np.repeat(np.arange(self.vals.size), reps)
+            first = np.repeat(start[self.cols] - (np.cumsum(reps) - reps), reps)
+            theirs = np.argsort(x.rows, kind="stable")[first + np.arange(mine.size)]
+            return Triplets.summed(
+                self.rows[mine],
+                x.cols[theirs],
+                self.vals[mine] * x.vals[theirs],
+                (self.shape[0], x.shape[1]),
+            )
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((self.shape[0],) + x.shape[1:])
+        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols])
+        return out
+
+    def __rmatmul__(self, x):
+        return (self.T @ np.asarray(x).T).T
+
+
+class Blocks:
+    """A matrix split into its connected blocks, stacked by block shape.
+
+    The blocks are the connected components of the bipartite graph that
+    joins row i to column j wherever entry (i, j) is nonzero; after a
+    permutation of rows and columns the matrix is block-diagonal with
+    these blocks.  Each group stacks the k blocks of one shape (r, c):
+    ``rows`` (k, r) and ``cols`` (k, c) index the matrix, and ``vals``
+    (k, r, c) holds the entries.  Rows and columns in no block are zero.
+
+    The singular values of the matrix are those of its blocks together,
+    so ranks and pseudo-inverses are taken block by block while every
+    threshold stays the one the whole matrix would get.
+    """
+
+    __array_ufunc__ = None  # ``ndarray @ Blocks`` defers to __rmatmul__
+
+    def __init__(self, shape: tuple[int, int], groups: list[tuple[np.ndarray, ...]]):
+        self.shape = shape
+        self.groups = groups
+
+    @classmethod
+    def split(cls, A: Triplets) -> Blocks:
+        m, n = A.shape
+        u, v = A.rows, A.cols + m  # columns are nodes m .. m + n - 1
+        root = np.arange(m + n)
+        while True:  # hook each root onto the smallest root it touches, then jump
+            ru, rv = root[u], root[v]
+            if np.array_equal(ru, rv):
+                break
+            np.minimum.at(root, ru, rv)
+            np.minimum.at(root, rv, ru)
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+        # number the blocks, then place each row and column inside its block:
+        # rows before columns, each in index order
+        nodes = np.union1d(u, v)
+        _, block = np.unique(root[nodes], return_inverse=True)
+        is_row = nodes < m
+        nrows = np.bincount(block[is_row], minlength=block.max(initial=-1) + 1)
+        ncols = np.bincount(block[~is_row], minlength=nrows.size)
+        place = np.empty(nodes.size, dtype=np.intp)
+        place[np.argsort(block, kind="stable")] = np.arange(nodes.size)
+        first = np.cumsum(nrows + ncols) - (nrows + ncols)
+        local = np.zeros(m + n, dtype=np.intp)
+        local[nodes] = place - first[block] - np.where(is_row, 0, nrows[block])
+        block_of = np.zeros(m + n, dtype=np.intp)
+        block_of[nodes] = block
+        # stack the blocks of each shape (r, c)
+        shapes, group = np.unique(nrows * (n + 1) + ncols, return_inverse=True)
+        slot = np.zeros(nrows.size, dtype=np.intp)
+        groups = []
+        for g, (r, c) in enumerate(zip(*np.divmod(shapes, n + 1))):
+            members = np.flatnonzero(group == g)
+            slot[members] = np.arange(members.size)
+            mine = nodes[group[block] == g]
+            rmine, cmine = mine[mine < m], mine[mine >= m]
+            rows = np.zeros((members.size, r), dtype=np.intp)
+            cols = np.zeros((members.size, c), dtype=np.intp)
+            rows[slot[block_of[rmine]], local[rmine]] = rmine
+            cols[slot[block_of[cmine]], local[cmine]] = cmine - m
+            e = np.flatnonzero(group[block_of[u]] == g)
+            vals = np.zeros((members.size, r, c))
+            vals[slot[block_of[u[e]]], local[u[e]], local[v[e]]] = A.vals[e]
+            groups.append((rows, cols, vals))
+        return cls(A.shape, groups)
+
+    @property
+    def T(self) -> Blocks:
+        return Blocks(self.shape[::-1], [(c, r, v.transpose(0, 2, 1)) for r, c, v in self.groups])
+
+    def singular_values(self) -> np.ndarray:
+        """Every block's singular values, in one array."""
+        return np.concatenate(
+            [np.linalg.svd(v, compute_uv=False).reshape(-1) for _, _, v in self.groups] or [[]]
+        )
+
+    def pinv(self, rcond: float, floor: float = 0.0) -> tuple[Blocks, int]:
+        """Pseudo-inverse and rank, keeping the singular values above
+        ``rcond * max(smax, floor)`` with smax the largest of all blocks."""
+        svds = [np.linalg.svd(v, full_matrices=False) for _, _, v in self.groups]
+        smax = max((float(s.max(initial=0.0)) for _, s, _ in svds), default=0.0)
+        cutoff = rcond * max(smax, floor)
+        groups = []
+        rank = 0
+        for (rows, cols, _), (U, s, Vt) in zip(self.groups, svds):
+            large = s > cutoff
+            rank += int(large.sum())
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+            groups.append((cols, rows, np.matmul(Vt.transpose(0, 2, 1) * inv[:, None, :],
+                                                 U.transpose(0, 2, 1))))
+        return Blocks(self.shape[::-1], groups), rank
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros((self.shape[0],) + x.shape[1:])
+        for rows, cols, vals in self.groups:
+            out[rows] = np.einsum("krc,kc...->kr...", vals, x[cols])
+        return out
+
+    def __rmatmul__(self, x):
+        return (self.T @ np.asarray(x).T).T
+
+
+def d_triplets(alg: GradedLieAlgebra, one_grade: int) -> Triplets:
+    """The differential on grade-``one_grade`` one-cochains, as triplets.
 
     Rows are indexed by flattened (a, b, k) two-cochain slots, columns by
-    flattened (c, u) one-cochain slots, both in C order.
+    flattened (c, u) one-cochain slots, both in C order.  The column of
+    the basis cochain E_cu holds +B[u, b, k] in row (c, b, k) and
+    -B[u, b, k] in row (b, c, k), where B = C[g_one_grade, g_{-1}, .];
+    the two cancel where b = c.
     """
     if one_grade not in ONE_COCHAIN_GRADES:
         raise ValueError("one_grade must be 0 or 1")
     n = alg.dims[0]
     B = alg.block(one_grade, -1)
-    nv_o = B.shape[0]
-    nv_t = B.shape[2]
-    M = np.zeros((n, n, nv_t, n, nv_o))
-    for c in range(n):
-        for u in range(nv_o):
-            M[c, :, :, c, u] += B[u]
-            M[:, c, :, c, u] -= B[u]
-    return M.reshape(n * n * nv_t, n * nv_o)
+    nv_o, _, nv_t = B.shape
+    u, b, k = np.nonzero(B)
+    c, e = np.nonzero(np.arange(n)[:, None] != b)  # entries with b == c cancel
+    u, b, k = u[e], b[e], k[e]
+    val = B[u, b, k]
+    col = c * nv_o + u
+    return Triplets(
+        np.concatenate([(c * n + b) * nv_t + k, (b * n + c) * nv_t + k]),
+        np.concatenate([col, col]),
+        np.concatenate([val, -val]),
+        (n * n * nv_t, n * nv_o),
+    )
 
 
-def dstar_matrix(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
-    """Dense matrix of the codifferential on grade-``two_grade`` two-cochains.
+def dstar_triplets(alg: GradedLieAlgebra, two_grade: int) -> Triplets:
+    """The codifferential on grade-``two_grade`` two-cochains, as triplets.
 
     Rows are flattened (b, v) one-cochain slots, columns flattened (a, b, k)
-    two-cochain slots.
+    two-cochain slots; entry ((b, v), (a, b, k)) is W[a, k, v] =
+    sum_u Zd[a, u] C[z_u, g_two_grade, .][k, v] for every b.
     """
     if two_grade not in TWO_COCHAIN_GRADES:
         raise ValueError("two_grade must be -1 or 0")
     n = alg.dims[0]
-    Zd = alg.dual_basis()
     B = alg.block(1, two_grade)
-    nv_t = B.shape[1]
-    nv_o = B.shape[2]
-    W = np.einsum("au,ukv->akv", Zd, B)
-    M = np.zeros((n, nv_o, n, n, nv_t))
-    diag = np.arange(n)
-    M[diag, :, :, diag, :] = W.transpose(2, 0, 1)  # M[b, v, a, b, k] = W[a, k, v]
-    return M.reshape(n * nv_o, n * n * nv_t)
+    nv_t, nv_o = B.shape[1:]
+    W = np.einsum("au,ukv->akv", alg.dual_basis(), B)
+    a, k, v = np.nonzero(W)
+    b = np.arange(n)[:, None]
+    return Triplets(
+        (b * nv_o + v).reshape(-1),
+        ((a * n + b) * nv_t + k).reshape(-1),
+        np.broadcast_to(W[a, k, v], (n, a.size)).reshape(-1),
+        (n * nv_o, n * n * nv_t),
+    )
 
 
-def _pair_rows(alg: GradedLieAlgebra, one_grade: int) -> np.ndarray:
-    """Rows a < b of :func:`d_matrix`.
+def d_matrix(alg: GradedLieAlgebra, one_grade: int) -> np.ndarray:
+    """Dense form of :func:`d_triplets`."""
+    return d_triplets(alg, one_grade).dense()
+
+
+def dstar_matrix(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
+    """Dense form of :func:`dstar_triplets`."""
+    return dstar_triplets(alg, two_grade).dense()
+
+
+def _pair_slots(n: int, nv: int, a: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Flattened (a < b, k) slot of the pair (min(a, b), max(a, b))."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return (lo * (2 * n - lo - 1) // 2 + hi - lo - 1) * nv + k
+
+
+def _pair_rows(D: Triplets, n: int) -> Triplets:
+    """Rows a < b of a differential.
 
     Row (b, a, k) of the differential is minus row (a, b, k) and row
     (a, a, k) vanishes, so these rows span its row space.
     """
-    n = alg.dims[0]
-    D = d_matrix(alg, one_grade)
-    ia, ib = np.triu_indices(n, 1)
-    return D.reshape(n, n, -1, D.shape[1])[ia, ib].reshape(-1, D.shape[1])
+    nv = D.shape[0] // (n * n)
+    a, b, k = np.unravel_index(D.rows, (n, n, nv))
+    keep = a < b
+    return Triplets(
+        _pair_slots(n, nv, a[keep], b[keep], k[keep]),
+        D.cols[keep],
+        D.vals[keep],
+        (n * (n - 1) // 2 * nv, D.shape[1]),
+    )
 
 
-def _pair_cols(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
-    """Columns a < b of the codifferential precomposed with the alternation.
+def _pair_cols(S: Triplets, n: int) -> Triplets:
+    """Columns a < b of a codifferential precomposed with the alternation.
 
     Column (a, b, k) of the alternated matrix is half the difference of the
-    (a, b, k) and (b, a, k) columns of :func:`dstar_matrix`; column (b, a, k)
+    (a, b, k) and (b, a, k) columns of the codifferential; column (b, a, k)
     is its negative and column (a, a, k) vanishes.
     """
-    n = alg.dims[0]
-    S = dstar_matrix(alg, two_grade)
-    S4 = S.reshape(S.shape[0], n, n, -1)
-    ia, ib = np.triu_indices(n, 1)
-    half = S4[:, ia, ib]
-    half -= S4[:, ib, ia]
-    half *= 0.5
-    return half.reshape(S.shape[0], -1)
+    nv = S.shape[1] // (n * n)
+    a, b, k = np.unravel_index(S.cols, (n, n, nv))
+    keep = a != b
+    return Triplets.summed(
+        S.rows[keep],
+        _pair_slots(n, nv, a[keep], b[keep], k[keep]),
+        np.where(a < b, 0.5, -0.5)[keep] * S.vals[keep],
+        (S.shape[0], n * (n - 1) // 2 * nv),
+    )
 
 
-def _rank(A: np.ndarray, tol: float, copies: int = 1) -> int:
+def _rank(A: Triplets, tol: float, copies: int = 1) -> int:
     """Rank of a matrix standing for one whose rows (or columns) are those
     of ``A`` repeated ``copies`` times up to sign.
 
     The full matrix has the singular values of ``A`` times sqrt(copies), so
     a singular value counts when it exceeds tol * max(1, max|A|) /
-    sqrt(copies), the full matrix's threshold.  An empty matrix has rank 0.
+    sqrt(copies), the full matrix's threshold.  The singular values are
+    taken block by block (:class:`Blocks`).  An empty matrix has rank 0.
     """
-    if A.size == 0:
+    if A.vals.size == 0:
         return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int((s > tol * max(1.0, float(np.abs(A).max())) / np.sqrt(copies)).sum())
+    s = Blocks.split(A).singular_values()
+    return int((s > tol * max(1.0, float(np.abs(A.vals).max())) / np.sqrt(copies)).sum())
 
 
 def complementarity_check(alg: GradedLieAlgebra, two_grade: int, tol: float = 1e-9) -> dict:
@@ -205,8 +407,12 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int, tol: float = 1e
     are the negatives of its (a, b) rows and its (a, a) rows vanish, so
     the a < b rows carry its rank; the alternated d* has the same property
     in its columns; and d* d = 2 (alternated d*)_{a<b} d_{a<b} exactly.
-    The full operators are dropped once their halves are taken, and each
-    threshold is the one the full matrix would get (see :func:`_rank`).
+    The dense operators come from :func:`d_matrix` and :func:`dstar_matrix`
+    because the benchmark's tracer (``perfbench/tracing.py``) counts and
+    sizes those two calls here; they are dropped once their nonzeros are
+    read, every product is taken on triplets, and each rank is taken block
+    by block with the threshold the full matrix would get (see
+    :func:`_rank`).
 
     Returns:
         dict with dim_image_d, dim_kernel_dstar, intersection_dim,
@@ -223,11 +429,10 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int, tol: float = 1e
             "total_dim": 0,
             "complementary": True,
         }
-    D = _pair_rows(alg, two_grade + 1)
-    S = _pair_cols(alg, two_grade)
+    D = _pair_rows(Triplets.from_dense(d_matrix(alg, two_grade + 1)), n)
+    S = _pair_cols(Triplets.from_dense(dstar_matrix(alg, two_grade)), n)
     r_im = _rank(D, tol, copies=2)
     inter = r_im - _rank(2.0 * (S @ D), tol)
-    del D
     r_ker = total - _rank(S, tol, copies=2)
     return {
         "dim_image_d": r_im,
@@ -256,18 +461,19 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str, tol: float = 1e-9) -> int:
     ad: g_1 -> g_{-1}^* (x) g_0 (that image lies inside the kernel, which is
     asserted).  H21 is the kernel of d on grade-1 one-cochains; nothing maps
     into that spot because the grading stops at g_1.  The kernel of d is
-    read off its a < b rows, as in :func:`complementarity_check`.
+    read off its a < b rows, as in :func:`complementarity_check`, and every
+    rank, that of ad included, goes through :func:`_rank`.
     """
     n, n0, n1 = alg.dims
     if level == "H11":
-        D = _pair_rows(alg, 0)
+        D = _pair_rows(d_triplets(alg, 0), n)
         ad = alg.block(1, -1).reshape(n1, n * n0).T
-        if D.size and np.abs(D @ ad).max() > 1e-10:
+        if np.abs(D @ ad).max(initial=0.0) > 1e-10:
             raise AssertionError("ad image is not d-closed; structure tensor corrupt")
         nullD = n * n0 - _rank(D, tol, copies=2)
-        return nullD - int(np.linalg.matrix_rank(ad, tol=tol))
+        return nullD - _rank(Triplets.from_dense(ad), tol)
     if level == "H21":
-        return n * n1 - _rank(_pair_rows(alg, 1), tol, copies=2)
+        return n * n1 - _rank(_pair_rows(d_triplets(alg, 1), n), tol, copies=2)
     raise ValueError(f"level must be 'H11' or 'H21', got {level!r}")
 
 

@@ -33,12 +33,14 @@ from .normalization import (
     trace_kappa0,
 )
 from .spencer import (
+    Blocks,
     OneCochain,
     TwoCochain,
     _alternating_injection,
     _value_dim,
-    d_matrix,
+    d_triplets,
     dstar_matrix,
+    dstar_triplets,
 )
 
 SYMMETRY_FLAGS = (
@@ -147,10 +149,11 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
     """
     n = alg.dims[0]
     nv = _value_dim(alg, grade)
-    D = d_matrix(alg, grade + 1)
-    S = dstar_matrix(alg, grade)
-    # W = pinv(d* d) d* is applied as two products, never formed
-    P = np.linalg.pinv(S @ D, rcond=1e-12)
+    D = d_triplets(alg, grade + 1)
+    S = dstar_triplets(alg, grade)
+    # W = pinv(d* d) d* is applied as two products, never formed; d and d*
+    # stay sparse and the pseudo-inverse is taken one block at a time
+    P, _ = Blocks.split(S @ D).pinv(1e-12)
 
     def harm(vec: np.ndarray) -> np.ndarray:
         return vec - D @ (P @ (S @ vec))

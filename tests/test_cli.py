@@ -177,6 +177,17 @@ def test_normalize_input_validation(tmp_path):
     assert main(["normalize", "--kind", "lagrangian", "--m", "3", "--input", str(raw)]) == EXIT_VALIDATION
 
 
+
+def test_normalize_rejects_deeply_nested_input(tmp_path, capsys):
+    depth = 100_000
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"kappa0": ' + "[" * depth + "]" * depth + "}")
+    out = tmp_path / "n.json"
+    argv = ["normalize", "--kind", "conformal", "--m", "3", "--input", str(deep)]
+    assert main(argv + ["--output", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    assert "nested too deeply" in capsys.readouterr().err
+
 def test_normalize_rejects_non_finite_curvature(tmp_path):
     alg = algebra("projective", q=2)
     n, n0, _ = alg.dims
@@ -281,6 +292,15 @@ def test_verify_point_parameters_require_kind(tmp_path, capsys):
         assert not out.exists()
         assert "--kind" in capsys.readouterr().err
 
+
+
+def test_verify_h11_check_rejects_debug_mutate(tmp_path, capsys):
+    out = tmp_path / "h.json"
+    argv = ["verify", "--check", "h11", "--kind", "projective", "--debug-mutate"]
+    assert main(argv + ["--output", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--debug-mutate" in err and "--check h11" in err
 
 def test_verify_rejects_samples_below_one(tmp_path):
     for samples in ("0", "-1"):

@@ -1,10 +1,17 @@
-"""Frozen fingerprints of the structure constants.
+"""Frozen fingerprints of the structure constants and of the verify facts.
 
-Each digest is the sha256 of ``json.dumps(serialize(alg), sort_keys=True)``,
-so it pins the basis order and labels, every structure-constant value and
-sign, and the pairing.  The digests were recorded before the lagrangian and
-spinorial builders were merged into one eps-parametrized builder; any
-change to a basis convention must update them deliberately.
+Each structure digest is the sha256 of ``json.dumps(serialize(alg),
+sort_keys=True)``, so it pins the basis order and labels, every
+structure-constant value and sign, and the pairing.  The digests were
+recorded before the lagrangian and spinorial builders were merged into one
+eps-parametrized builder; any change to a basis convention must update
+them deliberately.
+
+Each facts digest is the sha256 of a ``verify`` report with every float
+``residual`` removed: it pins the check names, ``passed`` flags, integer
+values, kernel dimensions and ``detail`` dicts, and leaves the residuals
+free to move in their last digits.  The digests were recorded before the
+Spencer ranks, the harmonic sampler and the oracle went block by block.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import pytest
 from conftest import GRID, grid_id
 
 from ahsnormal import build_algebra, serialize
+from ahsnormal.cli import main
 
 FINGERPRINTS = {
     "conformal-3": "764cd528b4cf9e912e0b935bf857d43730606598fd164cbc4976493c7e6290e1",
@@ -50,6 +58,18 @@ FINGERPRINTS = {
     "spinorial-8": "3ab5fcd8ab066579e07be82d5c9ce384c8ac6db32a857c08c73f1eae25d4b0dc",
 }
 
+VERIFY_FACTS = {
+    "default-grid": "a577af951ee9f29007a0fbbea160632cdb08a06a383aa030c75087834e100303",
+    "lagrangian-6": "0617bcfe4fe3e2d206fd0b6f5be68e0b282c76c8d0cfb5618de7e90fa742d5ff",
+    "spinorial-6": "9818ed5217d4d342e8daa51dfe481420c5768f3070f7f3b9a1114f66a4300267",
+}
+
+VERIFY_ARGS = {
+    "default-grid": [],
+    "lagrangian-6": ["--kind", "lagrangian", "--m", "6"],
+    "spinorial-6": ["--kind", "spinorial", "--m", "6"],
+}
+
 POINTS = list(GRID) + [(kind, {"m": m}) for kind in ("lagrangian", "spinorial") for m in (7, 8)]
 
 
@@ -65,3 +85,20 @@ def test_every_point_has_a_fingerprint():
 @pytest.mark.parametrize("kind,params", POINTS, ids=grid_id)
 def test_structure_constants_fingerprint(kind, params):
     assert fingerprint(kind, params) == FINGERPRINTS[f"{kind}-{grid_id(params)}"]
+
+
+def facts(node):
+    """The report with every ``residual`` entry removed, at any depth."""
+    if isinstance(node, dict):
+        return {k: facts(v) for k, v in node.items() if k != "residual"}
+    if isinstance(node, list):
+        return [facts(v) for v in node]
+    return node
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_ARGS))
+def test_verify_facts_fingerprint(name, tmp_path):
+    out = tmp_path / "verify.json"
+    assert main(["verify", *VERIFY_ARGS[name], "--output", str(out)]) == 0
+    text = json.dumps(facts(json.loads(out.read_text())), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_FACTS[name]
