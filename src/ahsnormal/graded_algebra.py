@@ -25,6 +25,17 @@ import numpy as np
 
 KINDS = ("conformal", "grassmannian", "projective", "lagrangian", "spinorial")
 
+# The rank rule of every rank, kernel and pseudo-inverse in the package: a
+# singular value counts as zero when it is at most RANK_TOL * max(1, smax),
+# smax the largest singular value of the whole matrix (rank_cutoff).  On every
+# tested algebra each ranked operator's singular values are below 1.4e-15 *
+# max(1, smax) or above 0.10 * max(1, smax), so no rank depends on RANK_TOL.
+RANK_TOL = 1e-9
+
+# Largest dim g built: the dense structure tensor of (dim g)^3 float64
+# entries, the first thing every command builds, stays within 1 GiB.
+MAX_DIM = 512
+
 
 class ParameterError(ValueError):
     """Raised when structure-kind parameters are outside the valid range."""
@@ -138,18 +149,31 @@ def build_algebra(kind: str, **params) -> GradedLieAlgebra:
         q = _want_int(params, "q", kind)
         if not (1 <= p <= q):
             raise ParameterError(f"grassmannian requires q >= p >= 1, got p = {p}, q = {q}")
+        _check_dim(kind, (p + q) ** 2 - 1)
         return _build_grassmannian(p, q)
     if kind == "projective":
         q = _want_int(params, "q", kind)
         if q < 2:
             raise ParameterError(f"projective requires q >= 2, got q = {q}")
+        _check_dim(kind, (q + 1) ** 2 - 1)
         return _build_projective(q)
     m = _want_int(params, "m", kind)
     if m < 3:
         raise ParameterError(f"{kind} requires m >= 3, got m = {m}")
+    _check_dim(kind, {"conformal": (m + 1) * (m + 2) // 2, "lagrangian": m * (2 * m + 1),
+                      "spinorial": m * (2 * m - 1)}[kind])
     if kind == "conformal":
         return _build_conformal(m)
     return _build_pair(m, 1 if kind == "lagrangian" else -1)
+
+
+def _check_dim(kind: str, dim: int) -> None:
+    """Refuse parameters whose algebra dimension exceeds :data:`MAX_DIM`."""
+    if dim > MAX_DIM:
+        raise ParameterError(
+            f"{kind} parameters give dim g = {dim}; the dense structure tensor "
+            f"(dim g)^3 float64 entries must fit a 1 GiB budget, i.e. dim g <= {MAX_DIM}"
+        )
 
 
 def _want_int(params: dict, name: str, kind: str) -> int:
@@ -581,12 +605,22 @@ def jacobi_residual(alg: GradedLieAlgebra) -> float:
     return worst
 
 
+def rank_cutoff(smax: float) -> float:
+    """Largest singular value that counts as zero in a matrix whose largest is ``smax``."""
+    return RANK_TOL * max(1.0, float(smax))
+
+
+def dense_rank(A: np.ndarray) -> int:
+    """Rank of a dense matrix under :func:`rank_cutoff`."""
+    s = np.linalg.svd(A, compute_uv=False)
+    return int((s > rank_cutoff(s.max(initial=0.0))).sum())
+
+
 def center_dim(alg: GradedLieAlgebra) -> int:
     """Dimension of the center of the reductive part g_0."""
     n0 = alg.dims[1]
     sl0 = alg.grade_slice(0)
-    M = alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0).T
-    return n0 - int(np.linalg.matrix_rank(M, tol=1e-10))
+    return n0 - dense_rank(alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0).T)
 
 
 def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
@@ -599,8 +633,8 @@ def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
     act = alg.block(0, -1).reshape(n0, n * n).T
     zmap = alg.block(1, -1).reshape(n1, n * n0).T
     return {
-        "g0_on_gm1": (int(np.linalg.matrix_rank(act, tol=1e-10)), n0),
-        "g1_to_hom": (int(np.linalg.matrix_rank(zmap, tol=1e-10)), n1),
+        "g0_on_gm1": (dense_rank(act), n0),
+        "g1_to_hom": (dense_rank(zmap), n1),
     }
 
 

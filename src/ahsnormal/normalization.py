@@ -400,20 +400,13 @@ def trace_g0_map_matrix(alg: GradedLieAlgebra) -> np.ndarray:
     return M.reshape(n * n, n * n1)
 
 
-def oracle_gamma(
-    alg: GradedLieAlgebra,
-    kappa0: TwoCochain,
-    tol: float = 1e-9,
-    trace_matrix: np.ndarray | None = None,
-) -> DeformationTensor:
+def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain, tol: float = 1e-9) -> DeformationTensor:
     """Solve Tr(delta kappa0(Gamma)) = Tr(kappa0) for Gamma by least squares.
 
-    The trace map is inverted one connected block at a time (see
-    :class:`ahsnormal.spencer.Blocks`); a singular value counts towards the
-    kernel when it is at most tol * max(smax, 1), smax the largest of all
-    blocks.  ``trace_matrix`` may carry a precomputed
-    :func:`trace_map_matrix` to amortize the assembly over many solves on
-    the same algebra.
+    The trace map is inverted one connected block at a time
+    (:meth:`ahsnormal.spencer.Blocks.pinv`), which also gives its kernel
+    dimension.  ``tol`` bounds only the residual of the solve, relative to
+    max(1, max|Tr kappa0|); it plays no part in the kernel count.
 
     Raises:
         NonUniquenessError: the assembled trace map has a nontrivial kernel
@@ -422,9 +415,9 @@ def oracle_gamma(
             trace data is not in the range of the map.
     """
     n, _, n1 = alg.dims
-    M = trace_map_matrix(alg) if trace_matrix is None else trace_matrix
+    M = trace_map_matrix(alg)
     # one SVD per block gives both the kernel count and the solve
-    Minv, rank = Blocks.split(Triplets.from_dense(M)).pinv(tol, floor=1.0)
+    Minv, rank = Blocks.split(Triplets.from_dense(M)).pinv()
     kernel_dim = M.shape[1] - rank
     if kernel_dim > 0:
         raise NonUniquenessError(
@@ -441,7 +434,7 @@ def oracle_gamma(
     return DeformationTensor(alg.kind, dict(alg.params), OneCochain(1, x.reshape(n, n1)), "oracle")
 
 
-def uniqueness_certificate(alg: GradedLieAlgebra, tol: float = 1e-9) -> dict:
+def uniqueness_certificate(alg: GradedLieAlgebra) -> dict:
     """Kernel dimensions certifying uniqueness of the normalization.
 
     Reports the kernel of the Ricci-type trace map alone and of that map
@@ -450,13 +443,8 @@ def uniqueness_certificate(alg: GradedLieAlgebra, tol: float = 1e-9) -> dict:
     """
     M = trace_map_matrix(alg)
     S = np.vstack([M, trace_g0_map_matrix(alg)])
-
-    def kdim(A: np.ndarray) -> int:
-        sv = Blocks.split(Triplets.from_dense(A)).singular_values()
-        return int(A.shape[1] - (sv > tol * max(sv.max(initial=0.0), 1.0)).sum())
-
-    k_trace = kdim(M)
-    k_stacked = kdim(S)
+    k_trace = M.shape[1] - Blocks.split(Triplets.from_dense(M)).rank()
+    k_stacked = S.shape[1] - Blocks.split(Triplets.from_dense(S)).rank()
     return {
         "kind": alg.kind,
         "params": dict(alg.params),

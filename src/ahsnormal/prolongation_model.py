@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .graded_algebra import GradedLieAlgebra
 from .spencer import (
@@ -62,6 +61,8 @@ class FrameChange:
         alg: GradedLieAlgebra, A: np.ndarray, Z: np.ndarray | None = None
     ) -> "FrameChange":
         """exp(ad A) per graded piece for A in g_0 coordinates, times exp(Z)."""
+        from scipy.linalg import expm  # imported here: scipy takes longer to load than the package
+
         A = np.asarray(A, dtype=float).reshape(-1)
         n, n0, n1 = alg.dims
         if A.shape != (n0,):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _pairs, build_algebra
+from .graded_algebra import GradedLieAlgebra, _pairs, build_algebra, rank_cutoff
 from .normalization import (
     CurvatureData,
     _pair_coefficients,
@@ -132,8 +132,7 @@ def harmonic_basis(
         rows.append(_block_trace_rows(alg, grade))
     M = np.vstack(rows) @ alt
     _, s, vt = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    rank = int((s > 1e-9 * max(1.0, smax)).sum())
+    rank = int((s > rank_cutoff(s.max(initial=0.0))).sum())
     return alt @ vt[rank:].T
 
 
@@ -153,7 +152,7 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
     S = dstar_triplets(alg, grade)
     # W = pinv(d* d) d* is applied as two products, never formed; d and d*
     # stay sparse and the pseudo-inverse is taken one block at a time
-    P, _ = Blocks.split(S @ D).pinv(1e-12)
+    P, _ = Blocks.split(S @ D).pinv()
 
     def harm(vec: np.ndarray) -> np.ndarray:
         return vec - D @ (P @ (S @ vec))
@@ -166,9 +165,12 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
         R = _block_trace_rows(alg, grade)
         # block trace as a map on the harmonic subspace, restricted to
         # alternating inputs; its pseudoinverse yields the correction that
-        # cancels the block-trace data without leaving the subspace
+        # cancels the block-trace data without leaving the subspace.  Where
+        # the map is rounding noise (p = 1) the correction is exactly zero.
         G = R - ((R @ D) @ P) @ S
-        Gp = np.linalg.pinv(0.5 * (G - swap_cols(G)), rcond=1e-12)
+        U, s, Vt = np.linalg.svd(0.5 * (G - swap_cols(G)), full_matrices=False)
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rank_cutoff(s.max(initial=0.0)))
+        Gp = Vt.T @ (inv[:, None] * U.T)
 
     def draw(rng: np.random.Generator) -> TwoCochain:
         t = rng.uniform(-1.0, 1.0, (n, n, nv))

@@ -74,6 +74,14 @@ def test_invalid_parameters_exit_validation():
     assert main(["cohomology", "--kind", "grassmannian", "--p", "3", "--q", "1"]) == EXIT_VALIDATION
 
 
+def test_oversized_parameters_exit_validation(capsys):
+    argv = ["algebra-info", "--kind", "grassmannian", "--p", "300", "--q", "300"]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "1 GiB" in captured.err and "dim g = 359999" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # normalize
 # ---------------------------------------------------------------------------
@@ -265,6 +273,24 @@ def test_bad_tolerance_rejected(tmp_path):
             assert not out.exists(), (argv[0], tol)
 
 
+def test_normalize_tolerance_does_not_decide_the_kernel(tmp_path):
+    # the conformal m = 3 trace map has singular values 1 to 4 and no kernel;
+    # a loose --tolerance loosens the residual checks, never the kernel count
+    from ahsnormal.normalization import deformation_delta_kappa0
+    from ahsnormal.testkit import random_gamma
+
+    alg = algebra("conformal", m=3)
+    k0 = deformation_delta_kappa0(alg, random_gamma(alg, np.random.default_rng(3)))
+    src = tmp_path / "k0.json"
+    src.write_text(json.dumps({"kappa0": k0.data.tolist()}))
+    argv = ["normalize", "--kind", "conformal", "--m", "3", "--input", str(src)]
+    code, loose, _ = run_to_file(tmp_path, "loose.json", argv + ["--tolerance", "0.3"])
+    assert code == EXIT_OK
+    code, default, _ = run_to_file(tmp_path, "default.json", argv)
+    assert code == EXIT_OK
+    assert loose["gamma_oracle"] == default["gamma_oracle"]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -292,6 +318,15 @@ def test_verify_point_parameters_require_kind(tmp_path, capsys):
         assert not out.exists()
         assert "--kind" in capsys.readouterr().err
 
+
+
+def test_verify_loose_tolerance_keeps_the_kernel(tmp_path):
+    argv = ["verify", "--kind", "conformal", "--m", "3", "--tolerance", "0.3"]
+    code, rep, _ = run_to_file(tmp_path, "v.json", argv)
+    assert code == EXIT_OK
+    (point,) = rep["points"]
+    (cert,) = [c for c in point["checks"] if c["check"] == "uniqueness_kernel"]
+    assert cert["value"] == 0
 
 
 def test_verify_h11_check_rejects_debug_mutate(tmp_path, capsys):
@@ -388,3 +423,10 @@ def test_module_entry_point():
     rep = json.loads(proc.stdout)
     assert rep["kind"] == "projective"
     assert rep["dims"]["total"] == 8
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, ahsnormal.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -17,6 +17,7 @@ from ahsnormal import (
     center_dim,
     cross_check_matrix_rep,
     faithfulness_ranks,
+    graded_algebra,
     grading_residual,
     jacobi_residual,
     serialize,
@@ -310,6 +311,30 @@ def test_parameter_errors():
         build_algebra("spinorial", m=2)
     with pytest.raises(ParameterError):
         build_algebra("conformal", m="four")
+
+
+def test_dimension_budget_rejects_huge_parameters():
+    for kind, params in (
+        ("conformal", {"m": 10**9}),
+        ("grassmannian", {"p": 300, "q": 300}),
+        ("projective", {"q": 10**9}),
+        ("lagrangian", {"m": 10**9}),
+        ("spinorial", {"m": 10**9}),
+    ):
+        with pytest.raises(ParameterError, match="1 GiB"):
+            build_algebra(kind, **params)
+    assert build_algebra("lagrangian", m=8).n_total == 136
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_dimension_budget_counts_dim_g(monkeypatch, kind, params):
+    # the dimension checked before anything is built is the built algebra's
+    N = algebra(kind, **params).n_total
+    monkeypatch.setattr(graded_algebra, "MAX_DIM", N)
+    assert build_algebra(kind, **params).n_total == N
+    monkeypatch.setattr(graded_algebra, "MAX_DIM", N - 1)
+    with pytest.raises(ParameterError, match=f"dim g = {N};"):
+        build_algebra(kind, **params)
 
 
 def test_graded_element_round_trip():

@@ -36,7 +36,6 @@ from ahsnormal.spencer import (
     TwoCochain,
     _pair_cols,
     _pair_rows,
-    _rank,
     _value_dim,
     cohomology_dim,
     complementarity_check,
@@ -300,13 +299,24 @@ def test_blocks_partition_the_nonzeros(kind, params):
 
 @pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)
 def test_block_rank_matches_whole_matrix_svd(kind, params):
+    # each operator as the library ranks it (a < b halves, triplets), then in full
     alg = algebra(kind, **params)
     n, n0, n1 = alg.dims
-    ops = spencer_operators(alg)
-    ops["ad"] = alg.block(1, -1).reshape(n1, n * n0).T
-    for name, A in ops.items():
-        for copies in (1, 2):
-            assert _rank(Triplets.from_dense(A), 1e-9, copies) == ref_svd_rank(A, 1e-9, copies), name
+    M = trace_map_matrix(alg)
+    ad = alg.block(1, -1).reshape(n1, n * n0).T
+    ranked = {"trace_map": (Triplets.from_dense(M), M), "ad": (Triplets.from_dense(ad), ad)}
+    for grade in (-1, 0):
+        nv = alg.dims[grade + 1]
+        D = ref_d_matrix(alg, grade + 1)
+        S = ref_dstar_matrix(alg, grade)
+        S_swapped = S.reshape(S.shape[0], n, n, nv).transpose(0, 2, 1, 3).reshape(S.shape)
+        D_half = _pair_rows(Triplets.from_dense(D), n)
+        S_half = _pair_cols(Triplets.from_dense(S), n)
+        ranked[f"d_half_{grade}"] = (D_half, D)
+        ranked[f"dstar_half_{grade}"] = (S_half, 0.5 * (S - S_swapped))
+        ranked[f"dstar_d_{grade}"] = (2.0 * (S_half @ D_half), S @ D)
+    for name, (part, full) in ranked.items():
+        assert Blocks.split(part).rank() == ref_svd_rank(full, 1e-9), name
 
 
 @pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)

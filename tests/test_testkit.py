@@ -150,6 +150,16 @@ def test_harmonic_basis_dimensions_grassmannian():
     assert np.abs(block_trace_g0(alg, h, "A")).max() <= 1e-12
 
 
+def test_block_trace_correction_vanishes_where_it_is_rounding_noise():
+    # at p = 1 harmonic grade-0 cochains carry no block-trace data: the
+    # correction map's largest singular value is 2.8e-16, all of it rounding
+    alg = algebra("grassmannian", p=1, q=2)
+    assert harmonic_basis(alg, 0).shape == harmonic_basis(alg, 0, block_trace_free=True).shape
+    got = harmonic_sampler(alg, 0, block_trace_free=True)(np.random.default_rng(5))
+    plain = harmonic_sampler(alg, 0)(np.random.default_rng(5))
+    np.testing.assert_array_equal(got.data, plain.data)
+
+
 def test_block_trace_free_rejected_off_grassmannian():
     with pytest.raises(ValueError):
         harmonic_sampler(algebra("conformal", m=3), 0, block_trace_free=True)
