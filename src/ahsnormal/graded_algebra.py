@@ -351,68 +351,43 @@ def _build_grassmannian(p: int, q: int) -> GradedLieAlgebra:
 
     A_mats = np.array(A_mats)
     D_mats = np.array(D_mats)
+    ou, ov = np.array(off_p, dtype=np.intp).reshape(-1, 2).T
+    du, dv = np.array(off_q, dtype=np.intp).reshape(-1, 2).T
 
-    def pair_to_coords(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-        """Coordinates of (A, D) in s(gl(p)+gl(q)); requires tr A + tr D = 0."""
-        v = np.zeros(n0)
-        t = 0
-        for u, w in off_p:
-            v[t] = A[w, u]
-            t += 1
-        for u, w in off_q:
-            v[t] = D[w, u]
-            t += 1
-        d = np.concatenate([np.diag(A), np.diag(D)])
-        v[t:] = np.cumsum(d)[:-1]
-        return v
+    def coords(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+        """Coordinates in s(gl(p)+gl(q)) of the pairs (A, D) on the last two
+        axes; requires tr A + tr D = 0."""
+        diag = np.concatenate([np.diagonal(A, axis1=-2, axis2=-1),
+                               np.diagonal(D, axis1=-2, axis2=-1)], axis=-1)
+        return np.concatenate([A[..., ov, ou], D[..., dv, du], np.cumsum(diag, axis=-1)[..., :-1]],
+                              axis=-1)
 
     C = np.zeros((N, N, N))
     o0, o1 = n, n + n0
+    Ip, Iq = np.eye(p), np.eye(q)
 
-    def put(i: int, j: int, vec: np.ndarray, off: int) -> None:
-        C[i, j, off : off + len(vec)] += vec
-        C[j, i, off : off + len(vec)] -= vec
+    # [x^a_i, z^j_b] = (A, D) = (-delta_ij E_ba, delta_ab E_ij), indexed (a, i, b, j)
+    xz = coords(-np.einsum("ij,rb,ca->aibjrc", Iq, Ip, Ip),
+                np.einsum("ab,ri,cj->aibjrc", Ip, Iq, Iq)).reshape(n, n, n0)
+    C[:n, o1:, o0:o1] = xz
+    C[o1:, :n, o0:o1] = -xz.transpose(1, 0, 2)
 
-    def mflat(a: int, i: int) -> int:
-        return a * q + i
-
-    # [x^a_i, z^j_b] = (A, D) = (-delta_ij E_ba, delta_ab E_ij)
-    for a in range(p):
-        for i in range(q):
-            for b in range(p):
-                for j in range(q):
-                    A = np.zeros((p, p))
-                    D = np.zeros((q, q))
-                    if i == j:
-                        A[b, a] -= 1.0
-                    if a == b:
-                        D[i, j] += 1.0
-                    if A.any() or D.any():
-                        put(mflat(a, i), o1 + mflat(b, j), pair_to_coords(A, D), o0)
-
-    # g_0 acting on g_{-1}: X -> D X - X A ; on g_1: Z -> A Z - Z D.
-    for c in range(n0):
-        Ac, Dc = A_mats[c], D_mats[c]
-        for a in range(p):
-            for i in range(q):
-                X = np.zeros((q, p))
-                X[i, a] = 1.0
-                M = Dc @ X - X @ Ac
-                vec = np.array([M[ii, aa] for aa in range(p) for ii in range(q)])
-                put(o0 + c, mflat(a, i), vec, 0)
-                Z = np.zeros((p, q))
-                Z[a, i] = 1.0
-                M = Ac @ Z - Z @ Dc
-                vec = np.array([M[aa, ii] for aa in range(p) for ii in range(q)])
-                put(o0 + c, o1 + mflat(a, i), vec, o1)
+    # g_0 acting on g_{-1}: X -> D X - X A ; on g_1: Z -> A Z - Z D, for the
+    # basis matrices X = E_ia and Z = E_ai, indexed (c, a, i, a', i')
+    act = (np.einsum("ay,cji->caiyj", Ip, D_mats)
+           - np.einsum("ij,cay->caiyj", Iq, A_mats)).reshape(n0, n, n)
+    C[o0:o1, :n, :n] = act
+    C[:n, o0:o1, :n] = -act.transpose(1, 0, 2)
+    act = (np.einsum("ij,cya->caiyj", Iq, A_mats)
+           - np.einsum("ay,cij->caiyj", Ip, D_mats)).reshape(n0, n, n)
+    C[o0:o1, o1:, o1:] = act
+    C[o1:, o0:o1, o1:] = -act.transpose(1, 0, 2)
 
     # g_0 internal brackets, componentwise gl commutators.
-    for c1 in range(n0):
-        for c2 in range(c1 + 1, n0):
-            A = A_mats[c1] @ A_mats[c2] - A_mats[c2] @ A_mats[c1]
-            D = D_mats[c1] @ D_mats[c2] - D_mats[c2] @ D_mats[c1]
-            if A.any() or D.any():
-                put(o0 + c1, o0 + c2, pair_to_coords(A, D), o0)
+    AA = np.matmul(A_mats[:, None], A_mats[None, :])
+    DD = np.matmul(D_mats[:, None], D_mats[None, :])
+    C[o0:o1, o0:o1, o0:o1] = coords(AA - AA.transpose(1, 0, 2, 3), DD - DD.transpose(1, 0, 2, 3))
+    C += 0.0  # turns the -0.0 entries the negations leave into +0.0
 
     return GradedLieAlgebra(
         kind="grassmannian",
@@ -575,34 +550,29 @@ def grading_residual(alg: GradedLieAlgebra) -> float:
 def jacobi_residual(alg: GradedLieAlgebra) -> float:
     """Max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples.
 
-    The contraction runs grade block by grade block: for basis vectors of
-    grades (a, b, c) every term lands in grade a + b + c, so only triples
-    with |a + b + c| <= 1 are formed, and a term whose inner bracket leaves
-    the grading is skipped.  Entries off those blocks are what
-    :func:`grading_residual` measures, so this presumes a graded tensor.
-    The entries are dyadic rationals and every product and sum is exact,
-    so the result does not depend on the order of summation.
+    The contraction runs on the nonzeros of C alone.  Joining every inner
+    bracket [b_i, b_j] -> b_m with the outer brackets [b_m, b_k] -> b_l
+    gives the terms of T[i, j, k, l] = sum_m C[i, j, m] C[m, k, l].  The
+    Jacobi sum is T[i, j, k, l] + T[j, k, i, l] + T[k, i, j, l], so a term
+    of T at (a, b, c, l) counts at (a, b, c, l), (c, a, b, l) and
+    (b, c, a, l).  No grading is presumed.  The entries are dyadic
+    rationals and every product and sum is exact, so the result does not
+    depend on the order of summation.
     """
-    grades = (-1, 0, 1)
-    sl = {g: alg.grade_slice(g) for g in grades}
-    worst = 0.0
-    for a in grades:
-        for b in grades:
-            for c in grades:
-                d = a + b + c
-                if abs(d) > 1:
-                    continue
-                total = 0.0
-                # [[i,j],k], [[j,k],i], [[k,i],j], each put back in (i, j, k, l) order
-                for x, y, w, perm in ((a, b, c, (0, 1, 2, 3)), (b, c, a, (2, 0, 1, 3)),
-                                      (c, a, b, (1, 2, 0, 3))):
-                    if abs(x + y) > 1:
-                        continue
-                    inner = alg.C[sl[x], sl[y], sl[x + y]]
-                    outer = alg.C[sl[x + y], sl[w], sl[d]]
-                    total = total + np.tensordot(inner, outer, axes=(2, 0)).transpose(perm)
-                worst = max(worst, float(np.abs(total).max()))
-    return worst
+    N = alg.n_total
+    i, j, m = np.nonzero(alg.C)  # C order: the entries of one first index are a run
+    val = alg.C[i, j, m]
+    count = np.bincount(i, minlength=N)
+    start = np.cumsum(count) - count
+    reps = count[m]  # outer brackets that each inner entry meets
+    inner = np.repeat(np.arange(val.size), reps)
+    outer = np.repeat(start[m] - (np.cumsum(reps) - reps), reps) + np.arange(inner.size)
+    a, b, c, l = i[inner], j[inner], j[outer], m[outer]
+    key = np.concatenate([((a * N + b) * N + c) * N + l, ((c * N + a) * N + b) * N + l,
+                          ((b * N + c) * N + a) * N + l])
+    _, slot = np.unique(key, return_inverse=True)
+    total = np.bincount(slot, weights=np.tile(val[inner] * val[outer], 3))
+    return float(np.abs(total).max(initial=0.0))
 
 
 def rank_cutoff(smax: float) -> float:

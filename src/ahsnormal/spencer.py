@@ -100,10 +100,8 @@ def spencer_d(alg: GradedLieAlgebra, psi: OneCochain) -> TwoCochain:
 def spencer_dstar(alg: GradedLieAlgebra, phi: TwoCochain) -> OneCochain:
     """Spencer codifferential (d* phi)(X) = sum_a [z^a, phi(x_a, X)]."""
     _check_two(alg, phi)
-    Zd = alg.dual_basis()
-    B = alg.block(1, phi.grade)
-    out = np.einsum("au,abk,ukv->bv", Zd, phi.data, B)
-    return OneCochain(phi.grade + 1, out)
+    out = dstar_triplets(alg, phi.grade) @ phi.data.reshape(-1)
+    return OneCochain(phi.grade + 1, out.reshape(alg.dims[0], -1))
 
 
 class Triplets:

@@ -42,8 +42,7 @@ from ahsnormal.spencer import (
 from ahsnormal.testkit import harmonic_sampler, random_gamma, round_trip_sample
 
 from test_normalization import (
-    expand_alt_pairs,
-    expand_sym_pairs,
+    expand_pairs,
     lagrangian_gamma_from_coeffs,
     spinorial_gamma_from_coeffs,
 )
@@ -282,7 +281,7 @@ def test_criterion_08_substitution_identities():
         F = 0.5 * (F + F.transpose(2, 3, 0, 1))
         gamma = OneCochain(1, lagrangian_gamma_from_coeffs(m, F))
         shift = deformation_delta_kappa0(alg, gamma)
-        T4 = expand_sym_pairs(trace_kappa0(alg, shift), m)
+        T4 = expand_pairs(trace_kappa0(alg, shift), m, 1)
         comb = (
             m * np.einsum("klpq->pqkl", T4)
             + np.einsum("qlpk->pqkl", T4)
@@ -291,7 +290,7 @@ def test_criterion_08_substitution_identities():
         scale = max(1.0, float(np.abs(F).max()))
         assert np.abs(comb - (m * (m + 1) - 2.0) * F).max() <= 1e-12 * scale, m
         # normalized reading (traces taken of -shift) flips the sign wholesale
-        T4b = expand_sym_pairs(trace_kappa0(alg, TwoCochain(0, -shift.data)), m)
+        T4b = expand_pairs(trace_kappa0(alg, TwoCochain(0, -shift.data)), m, 1)
         comb_bar = (
             m * np.einsum("klpq->pqkl", T4b)
             + np.einsum("qlpk->pqkl", T4b)
@@ -308,8 +307,8 @@ def test_criterion_08_substitution_identities():
         )
         F = 0.5 * (F + F.transpose(2, 3, 0, 1))
         gamma = OneCochain(1, spinorial_gamma_from_coeffs(m, F))
-        T4 = expand_alt_pairs(
-            trace_kappa0(alg, deformation_delta_kappa0(alg, gamma)), m
+        T4 = expand_pairs(
+            trace_kappa0(alg, deformation_delta_kappa0(alg, gamma)), m, -1
         )
         comb = (
             m * np.einsum("klpq->pqkl", T4)

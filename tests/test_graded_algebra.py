@@ -142,6 +142,14 @@ def test_axioms(kind, params):
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_structure_tensor_bytes(kind, params):
+    # with the fingerprints of the i < j nonzeros this pins C byte for byte
+    C = algebra(kind, **params).C
+    np.testing.assert_array_equal(C, -C.transpose(1, 0, 2))
+    assert not np.signbit(C[C == 0.0]).any()
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_matrix_representation_cross_check(kind, params):
     rep = cross_check_matrix_rep(algebra(kind, **params))
     assert rep["max_discrepancy"] == 0.0

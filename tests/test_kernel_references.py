@@ -1,12 +1,15 @@
 """Vectorised kernels against the loop code they replaced.
 
 Each reference below is the earlier implementation, kept verbatim: the
-per-basis-vector Jacobi loop, the unoptimized automorphism contraction, the
-full-matrix complementarity and cohomology ranks, the column-by-column
-g_0-trace map, the loop-built d and d* matrices, the whole-matrix SVD rank,
-the whole-matrix oracle solve and the dense-pinv harmonic sampler.  Structure constants are dyadic rationals, so wherever the
-arithmetic is exact the two must agree bit for bit; the automorphism
-residual sums random floats in a new order and gets a bound instead.
+per-basis-vector Jacobi loop and the grade-block Jacobi contraction, the
+unoptimized automorphism contraction, the full-matrix complementarity and
+cohomology ranks, the column-by-column g_0-trace map, the loop-built d and
+d* matrices, the unoptimized d* contraction, the whole-matrix SVD rank, the
+whole-matrix oracle solve, the dense-pinv harmonic sampler and scipy's
+matrix exponential.  Structure constants are dyadic rationals, so wherever
+the arithmetic is exact the two must agree bit for bit; the automorphism
+residual sums random floats in a new order and the exponential is a new
+algorithm, so those get bounds instead.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import GRID, VERIFY_GRID, algebra, grid_id
 
@@ -43,11 +47,17 @@ from ahsnormal.spencer import (
     d_triplets,
     dstar_matrix,
     dstar_triplets,
+    spencer_dstar,
 )
 from ahsnormal.testkit import _block_trace_rows, harmonic_sampler
 
 # Grid points small enough for the O(N^5) references; sl(2) is among them.
 REF_GRID = [(k, p) for k, p in GRID if algebra(k, **p).n_total <= 55]
+
+# Pair kinds beyond GRID.  ref_jacobi takes 9-69 s per call there, so they
+# are checked against ref_jacobi_blocks (at most 3 s), which ref_jacobi
+# checks on REF_GRID.
+LARGE_PAIR = [(kind, {"m": m}) for kind in ("lagrangian", "spinorial") for m in (7, 8)]
 
 # |optimized - reference| for the automorphism residual.  Measured on every
 # GRID point up to N = 78 with a random frame change: residuals reach 2e-12
@@ -63,6 +73,29 @@ def ref_jacobi(alg) -> float:
         t2 = np.einsum("jkm,ml->jkl", C, C[:, i, :])
         t3 = np.einsum("km,mjl->kjl", C[:, i, :], C).transpose(1, 0, 2)
         worst = max(worst, float(np.abs(t1 + t2 + t3).max()))
+    return worst
+
+
+def ref_jacobi_blocks(alg) -> float:
+    grades = (-1, 0, 1)
+    sl = {g: alg.grade_slice(g) for g in grades}
+    worst = 0.0
+    for a in grades:
+        for b in grades:
+            for c in grades:
+                d = a + b + c
+                if abs(d) > 1:
+                    continue
+                total = 0.0
+                # [[i,j],k], [[j,k],i], [[k,i],j], each put back in (i, j, k, l) order
+                for x, y, w, perm in ((a, b, c, (0, 1, 2, 3)), (b, c, a, (2, 0, 1, 3)),
+                                      (c, a, b, (1, 2, 0, 3))):
+                    if abs(x + y) > 1:
+                        continue
+                    inner = alg.C[sl[x], sl[y], sl[x + y]]
+                    outer = alg.C[sl[x + y], sl[w], sl[d]]
+                    total = total + np.tensordot(inner, outer, axes=(2, 0)).transpose(perm)
+                worst = max(worst, float(np.abs(total).max()))
     return worst
 
 
@@ -141,7 +174,17 @@ def test_jacobi_matches_loop_reference(kind, params):
     assert jacobi_residual(alg) == ref_jacobi(alg) == 0.0
     bad = sign_flipped(alg)
     got = jacobi_residual(bad)
-    assert got == ref_jacobi(bad)
+    assert got == ref_jacobi(bad) == ref_jacobi_blocks(bad)
+    assert got > 0.0
+
+
+@pytest.mark.parametrize("kind,params", LARGE_PAIR, ids=grid_id)
+def test_jacobi_matches_block_reference_beyond_grid(kind, params):
+    alg = algebra(kind, **params)
+    assert jacobi_residual(alg) == ref_jacobi_blocks(alg) == 0.0
+    bad = sign_flipped(alg)
+    got = jacobi_residual(bad)
+    assert got == ref_jacobi_blocks(bad)
     assert got > 0.0
 
 
@@ -202,6 +245,12 @@ def ref_dstar_matrix(alg, two_grade: int) -> np.ndarray:
     diag = np.arange(n)
     M[diag, :, :, diag, :] = W.transpose(2, 0, 1)  # M[b, v, a, b, k] = W[a, k, v]
     return M.reshape(n * nv_o, n * n * nv_t)
+
+
+def ref_spencer_dstar(alg, phi) -> np.ndarray:
+    Zd = alg.dual_basis()
+    B = alg.block(1, phi.grade)
+    return np.einsum("au,abk,ukv->bv", Zd, phi.data, B)
 
 
 def ref_svd_rank(A: np.ndarray, tol: float, copies: int = 1) -> int:
@@ -280,6 +329,19 @@ def test_triplets_dense_forms_match_loop_builders(kind, params):
         np.testing.assert_array_equal(dstar_matrix(alg, grade), ref)
 
 
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_dstar_on_triplets_matches_einsum_bitwise(kind, params):
+    alg = algebra(kind, **params)
+    n = alg.dims[0]
+    rng = np.random.default_rng(13)
+    for grade in (-1, 0):
+        for _ in range(3):
+            phi = TwoCochain(grade, rng.uniform(-1.0, 1.0, (n, n, alg.dims[grade + 1])))
+            got = spencer_dstar(alg, phi)
+            assert got.grade == grade + 1
+            assert got.data.tobytes() == ref_spencer_dstar(alg, phi).tobytes()
+
+
 @pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)
 def test_blocks_partition_the_nonzeros(kind, params):
     alg = algebra(kind, **params)
@@ -341,3 +403,55 @@ def test_block_pinv_sampler_matches_dense_pinv(kind, params):
         got = harmonic_sampler(alg, grade, block_trace_free=trace_free)(np.random.default_rng(5))
         ref = ref_harmonic_sampler(alg, grade, block_trace_free=trace_free)(np.random.default_rng(5))
         assert np.abs(got.data - ref.data).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the matrix exponential of FrameChange.from_g0
+# ---------------------------------------------------------------------------
+
+# Max-entry relative errors measured on the draws below: scipy.linalg.expm is
+# up to 1.5e-13 from the extended-precision Taylor sum (and up to 3.1e-13
+# from a 40-digit mpmath exponential on other draws), while the package's
+# exponential stays within 2.3e-15 of that sum.  So the tight bound is taken
+# against the extended-precision reference, and scipy gets a looser one.
+SCIPY_EXPM_BOUND = 1e-12
+EXTENDED_EXPM_BOUND = 1e-14
+
+
+def ref_expm_extended(M: np.ndarray) -> np.ndarray:
+    """The Taylor series of exp(M), unscaled, summed in np.longdouble."""
+    X = np.asarray(M, dtype=np.longdouble)
+    E = term = np.eye(len(X), dtype=np.longdouble)
+    k = 0
+    while np.abs(term).max() > 1e-22 * np.abs(E).max():
+        k += 1
+        term = term @ X / k
+        E = E + term
+    return E.astype(float)
+
+
+def from_g0_cases(alg, seed: int):
+    """(exp(ad A) as from_g0 returns it, ad A) per graded piece, three draws of A."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        A = rng.uniform(-1.0, 1.0, alg.dims[1])
+        fc = FrameChange.from_g0(alg, A)
+        for grade, got in zip((-1, 0, 1), (fc.ad_m1, fc.ad_0, fc.ad_p1)):
+            yield got, np.einsum("c,cij->ji", A, alg.block(0, grade))
+
+
+def relative_error(got: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.abs(got - ref).max() / np.abs(ref).max())
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_from_g0_exponential_matches_scipy_expm(kind, params):
+    for got, ad in from_g0_cases(algebra(kind, **params), 17):
+        assert relative_error(got, scipy.linalg.expm(ad)) <= SCIPY_EXPM_BOUND
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="np.longdouble is not extended")
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_from_g0_exponential_matches_extended_taylor(kind, params):
+    for got, ad in from_g0_cases(algebra(kind, **params), 17):
+        assert relative_error(got, ref_expm_extended(ad)) <= EXTENDED_EXPM_BOUND

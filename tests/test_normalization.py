@@ -7,6 +7,7 @@ import pytest
 
 from conftest import GRID, SMALL, algebra, grid_id
 
+from ahsnormal.graded_algebra import _pairs
 from ahsnormal.normalization import (
     NonUniquenessError,
     block_trace_g0,
@@ -221,26 +222,16 @@ def test_normalized_curvature_is_trace_free(kind, params):
 # ---------------------------------------------------------------------------
 
 
-def expand_sym_pairs(T, m):
-    pairs = [(k, l) for k in range(m) for l in range(k, m)]
+def expand_pairs(T, m, eps):
+    """T on the pair coordinates _pairs(m, eps), as T4[a, b, c, d] with
+    T4[b, a, c, d] = T4[a, b, d, c] = eps * T4[a, b, c, d]."""
+    pairs = _pairs(m, eps)
     T4 = np.zeros((m, m, m, m))
     for s, (a, b) in enumerate(pairs):
         for t, (c, d) in enumerate(pairs):
-            for aa, bb in ((a, b), (b, a)):
-                for cc, dd in ((c, d), (d, c)):
-                    T4[aa, bb, cc, dd] = T[s, t]
-    return T4
-
-
-def expand_alt_pairs(T, m):
-    pairs = [(k, l) for k in range(m) for l in range(m) if k < l]
-    T4 = np.zeros((m, m, m, m))
-    for s, (a, b) in enumerate(pairs):
-        for t, (c, d) in enumerate(pairs):
-            T4[a, b, c, d] = T[s, t]
-            T4[b, a, c, d] = -T[s, t]
-            T4[a, b, d, c] = -T[s, t]
-            T4[b, a, d, c] = T[s, t]
+            for (aa, bb), s1 in (((a, b), 1), ((b, a), eps)):
+                for (cc, dd), s2 in (((c, d), 1), ((d, c), eps)):
+                    T4[aa, bb, cc, dd] = s1 * s2 * T[s, t]
     return T4
 
 
@@ -273,7 +264,7 @@ def test_substitution_identity_lagrangian(m):
     F = 0.5 * (F + F.transpose(2, 3, 0, 1))
     gamma = OneCochain(1, lagrangian_gamma_from_coeffs(m, F))
     T = trace_kappa0(alg, deformation_delta_kappa0(alg, gamma))
-    T4 = expand_sym_pairs(T, m)
+    T4 = expand_pairs(T, m, 1)
     comb = (
         m * np.einsum("klpq->pqkl", T4)
         + np.einsum("qlpk->pqkl", T4)
@@ -284,7 +275,7 @@ def test_substitution_identity_lagrangian(m):
     # the normalized reading: substituting Gamma into kbar = k - delta(k)
     # flips the overall sign, giving the (2 - m(m+1)) convention
     Tbar = trace_kappa0(alg, TwoCochain(0, -deformation_delta_kappa0(alg, gamma).data))
-    T4b = expand_sym_pairs(Tbar, m)
+    T4b = expand_pairs(Tbar, m, 1)
     comb_bar = (
         m * np.einsum("klpq->pqkl", T4b)
         + np.einsum("qlpk->pqkl", T4b)
@@ -304,7 +295,7 @@ def test_substitution_identity_spinorial(m):
     F = 0.5 * (F + F.transpose(2, 3, 0, 1))
     gamma = OneCochain(1, spinorial_gamma_from_coeffs(m, F))
     T = trace_kappa0(alg, deformation_delta_kappa0(alg, gamma))
-    T4 = expand_alt_pairs(T, m)
+    T4 = expand_pairs(T, m, -1)
     comb = (
         m * np.einsum("klpq->pqkl", T4)
         + np.einsum("qlpk->pqkl", T4)
