@@ -36,6 +36,11 @@ RANK_TOL = 1e-9
 # entries, the first thing every command builds, stays within 1 GiB.
 MAX_DIM = 512
 
+# Entries per chunk of the whole-array scans: the largest mask the flat
+# nonzero scan (_flat_nonzero) holds, far below the 56 MB dense Spencer
+# operators, and the matrix entries per batch of cross_check_matrix_rep.
+CHUNK_ENTRIES = 1 << 16
+
 
 class ParameterError(ValueError):
     """Raised when structure-kind parameters are outside the valid range."""
@@ -208,20 +213,24 @@ def _gl_basis(m: int) -> np.ndarray:
     return mats
 
 
-def _fill_gl_internal(C: np.ndarray, m: int, o0: int, put) -> None:
+def _put_brackets(C: np.ndarray, i, j, k, v) -> None:
+    """Add [b_i, b_j] += v b_k and [b_j, b_i] -= v b_k over index arrays;
+    repeated entries accumulate."""
+    np.add.at(C, (i, j, k), v)
+    np.add.at(C, (j, i, k), -v)
+
+
+def _fill_gl_internal(C: np.ndarray, m: int, o0: int) -> None:
     """gl(m) internal brackets [h(i,j), h(k,l)] = d_il h(k,j) - d_kj h(i,l).
 
     Each pair c1 = h(i,j) < c2 is visited only where a delta can fire:
-    l = i for the first term, k = j for the second.
+    l = i for the first term, k = j for the second; v runs over the free index.
     """
-    for i in range(m):
-        for j in range(m):
-            c1 = i * m + j
-            for v in range(m):
-                if v * m + i > c1:
-                    put(o0 + c1, o0 + v * m + i, o0 + v * m + j, 1.0)
-                if j * m + v > c1:
-                    put(o0 + c1, o0 + j * m + v, o0 + i * m + v, -1.0)
+    i, j, v = np.indices((m, m, m)).reshape(3, -1)
+    c1 = i * m + j
+    for c2, c3, sign in ((v * m + i, v * m + j, 1.0), (j * m + v, i * m + v, -1.0)):
+        keep = c2 > c1
+        _put_brackets(C, o0 + c1[keep], o0 + c2[keep], o0 + c3[keep], sign)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +449,7 @@ def _build_projective(q: int) -> GradedLieAlgebra:
             put(o0 + h_idx(i, j), i, j, 1.0)
             put(o0 + h_idx(i, j), o1 + j, o1 + i, -1.0)
 
-    _fill_gl_internal(C, q, o0, put)
+    _fill_gl_internal(C, q, o0)
 
     return GradedLieAlgebra(
         kind="projective",
@@ -477,42 +486,36 @@ def _build_pair(m: int, eps: int) -> GradedLieAlgebra:
     labels += [f"h({i + 1},{j + 1})" for i in range(m) for j in range(m)]
     labels += [f"z({k + 1},{l + 1})" for k, l in pairs]
 
-    flat = _pair_index(pairs, eps)
+    ps, pt = np.array(pairs, dtype=np.intp).T
+    # x(a, b) = sign[a, b] * x(pairs[slot[a, b]]); slot -1 where x(a, b) is absent
+    slot = np.full((m, m), -1, dtype=np.intp)
+    slot[ps, pt] = slot[pt, ps] = np.arange(n)
+    sign = np.full((m, m), float(eps))
+    sign[ps, pt] = 1.0
 
     C = np.zeros((N, N, N))
     o0, o1 = n, n + n0
 
-    def put(i: int, j: int, k: int, v: float) -> None:
-        C[i, j, k] += v
-        C[j, i, k] -= v
-
     # [z(s,t), x(k,l)] = -1/4 (eps d_sk h(t,l) + d_sl h(t,k) + d_tk h(s,l) + eps d_tl h(s,k))
-    for zt, (s, t) in enumerate(pairs):
-        for xt, (k, l) in enumerate(pairs):
-            if s == k:
-                put(o1 + zt, xt, o0 + t * m + l, -0.25 * eps)
-            if s == l:
-                put(o1 + zt, xt, o0 + t * m + k, -0.25)
-            if t == k:
-                put(o1 + zt, xt, o0 + s * m + l, -0.25)
-            if t == l:
-                put(o1 + zt, xt, o0 + s * m + k, -0.25 * eps)
+    zt, xt = np.indices((n, n)).reshape(2, -1)
+    s, t, k, l = ps[zt], pt[zt], ps[xt], pt[xt]
+    for hit, h, v in ((s == k, t * m + l, -0.25 * eps), (s == l, t * m + k, -0.25),
+                      (t == k, s * m + l, -0.25), (t == l, s * m + k, -0.25 * eps)):
+        _put_brackets(C, o1 + zt[hit], xt[hit], o0 + h[hit], v)
 
     # [h(p,w), x(k,l)] = d_pk x(w,l) + eps d_pl x(w,k)
     # [z(s,t), h(p,w)] = d_tw z(s,p) + eps d_sw z(t,p)
     # so pair t = (k, l) meets h(k,v), h(l,v) on g_{-1} and h(v,l), h(v,k) on g_1
-    for t, (k, l) in enumerate(pairs):
-        for v in range(m):
-            for hc, a, b, sg in ((k * m + v, v, l, 1.0), (l * m + v, v, k, eps)):
-                if (a, b) in flat:
-                    u, su = flat[(a, b)]
-                    put(o0 + hc, t, u, sg * su)
-            for hc, a, b, sg in ((v * m + l, k, v, 1.0), (v * m + k, l, v, eps)):
-                if (a, b) in flat:
-                    u, su = flat[(a, b)]
-                    put(o1 + t, o0 + hc, o1 + u, sg * su)
+    t, v = np.indices((n, m)).reshape(2, -1)
+    k, l = ps[t], pt[t]
+    for hc, a, b, sg in ((k * m + v, v, l, 1.0), (l * m + v, v, k, eps)):
+        hit = slot[a, b] >= 0
+        _put_brackets(C, o0 + hc[hit], t[hit], slot[a, b][hit], sg * sign[a, b][hit])
+    for hc, a, b, sg in ((v * m + l, k, v, 1.0), (v * m + k, l, v, eps)):
+        hit = slot[a, b] >= 0
+        _put_brackets(C, o1 + t[hit], o0 + hc[hit], o1 + slot[a, b][hit], sg * sign[a, b][hit])
 
-    _fill_gl_internal(C, m, o0, put)
+    _fill_gl_internal(C, m, o0)
 
     return GradedLieAlgebra(
         kind="lagrangian" if eps > 0 else "spinorial",
@@ -547,6 +550,19 @@ def grading_residual(alg: GradedLieAlgebra) -> float:
     return worst
 
 
+def _flat_nonzero(A: np.ndarray) -> np.ndarray:
+    """C-order flat indices of the nonzero entries of ``A``.
+
+    The same indices as ``np.flatnonzero(A)`` (-0.0 counts as zero, NaN
+    as nonzero), read CHUNK_ENTRIES entries at a time so that no mask of
+    the whole array is ever held.
+    """
+    flat = np.ravel(A)
+    parts = [np.flatnonzero(flat[s : s + CHUNK_ENTRIES] != 0.0) + s
+             for s in range(0, flat.size, CHUNK_ENTRIES)]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+
 def jacobi_residual(alg: GradedLieAlgebra) -> float:
     """Max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples.
 
@@ -560,7 +576,8 @@ def jacobi_residual(alg: GradedLieAlgebra) -> float:
     depend on the order of summation.
     """
     N = alg.n_total
-    i, j, m = np.nonzero(alg.C)  # C order: the entries of one first index are a run
+    # C order: the entries of one first index are a run
+    i, j, m = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
     val = alg.C[i, j, m]
     count = np.bincount(i, minlength=N)
     start = np.cumsum(count) - count
@@ -715,37 +732,47 @@ def cross_check_matrix_rep(alg: GradedLieAlgebra) -> dict:
     is done by exact cross-multiplication (no division), so a faithful
     transcription yields max_discrepancy == 0.0 exactly.
 
+    The pairs i < j of one sector (g_x, g_y), g_x <= g_y, are compared in
+    batches of at most CHUNK_ENTRIES matrix entries, in the order i, then
+    j.  A pair where exactly one side vanishes counts its other side as
+    discrepancy.  The sector's scalar is read from its first pair where
+    neither vanishes, at the largest |table| entry.  All entries are
+    dyadic, so every product is exact.
+
     Returns:
         dict with ``sector_scalars`` (one float per sector with nonzero
         brackets) and ``max_discrepancy``.
     """
     rep = matrix_representation(alg)
-    scalars: dict[str, float] = {}
-    refs: dict[tuple[int, int], tuple[float, float]] = {}
+    N, s = alg.n_total, rep.shape[1]
+    step = max(1, CHUNK_ENTRIES // (s * s))
+    refs: dict[str, tuple[float, float]] = {}  # sector -> (matrix, table) reference entries
     worst = 0.0
-    idx = {g: range(alg.grade_slice(g).start, alg.grade_slice(g).stop) for g in (-1, 0, 1)}
     for gx in (-1, 0, 1):
-        for gy in (-1, 0, 1):
-            for i in idx[gx]:
-                for j in idx[gy]:
-                    if j <= i:
-                        continue
-                    table = np.einsum("k,kuv->uv", alg.C[i, j], rep)
-                    mat = rep[i] @ rep[j] - rep[j] @ rep[i]
-                    tmax, mmax = np.abs(table).max(), np.abs(mat).max()
-                    if tmax == 0.0 and mmax == 0.0:
-                        continue
-                    if tmax == 0.0 or mmax == 0.0:
-                        worst = max(worst, tmax, mmax)
-                        continue
-                    key = (gx, gy)
-                    if key not in refs:
-                        flat = np.abs(table).argmax()
-                        refs[key] = (mat.flat[flat], table.flat[flat])
-                        scalars[f"({gx},{gy})"] = mat.flat[flat] / table.flat[flat]
-                    m0, t0 = refs[key]
-                    worst = max(worst, float(np.abs(mat * t0 - table * m0).max()))
-    return {"sector_scalars": scalars, "max_discrepancy": worst}
+        for gy in range(gx, 2):
+            sx, sy = alg.grade_slice(gx), alg.grade_slice(gy)
+            if gx == gy:
+                I, J = np.triu_indices(sx.stop - sx.start, 1)
+            else:
+                I, J = np.indices((sx.stop - sx.start, sy.stop - sy.start)).reshape(2, -1)
+            key = f"({gx},{gy})"
+            for c in range(0, I.size, step):
+                i, j = I[c : c + step] + sx.start, J[c : c + step] + sy.start
+                table = alg.C[i, j] @ rep.reshape(N, s * s)
+                mat = (rep[i] @ rep[j] - rep[j] @ rep[i]).reshape(-1, s * s)
+                tmax, mmax = np.abs(table).max(1), np.abs(mat).max(1)
+                lone = (tmax == 0.0) != (mmax == 0.0)
+                worst = max(worst, tmax[lone].max(initial=0.0), mmax[lone].max(initial=0.0))
+                both = np.flatnonzero((tmax != 0.0) & (mmax != 0.0))
+                if both.size == 0:
+                    continue
+                if key not in refs:
+                    flat = np.abs(table[both[0]]).argmax()
+                    refs[key] = (mat[both[0], flat], table[both[0], flat])
+                m0, t0 = refs[key]
+                worst = max(worst, float(np.abs(mat[both] * t0 - table[both] * m0).max()))
+    scalars = {key: m0 / t0 for key, (m0, t0) in refs.items()}
+    return {"sector_scalars": scalars, "max_discrepancy": float(worst)}
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,12 @@ import numpy as np
 from .graded_algebra import GradedLieAlgebra, _pairs
 from .spencer import Blocks, OneCochain, Triplets, TwoCochain, _check_two, spencer_dstar
 
+# fiber_constancy_check's thresholds, each relative to max(1, largest entry):
+# the default bound on the change of d* kappa0 along the fiber, and the bound
+# on d* kappa_m1 under which kappa_m1 counts as harmonic.
+FIBER_TOL = 1e-10
+FIBER_HARMONIC_TOL = 1e-9
+
 
 class NonUniquenessError(RuntimeError):
     """The normalization problem has a nontrivial kernel (e.g. sl(2))."""
@@ -461,7 +467,7 @@ def fiber_constancy_check(
     kappa0: TwoCochain,
     kappa_m1: TwoCochain,
     tau: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = FIBER_TOL,
 ) -> dict:
     """The normalization condition does not depend on the fiber coordinate.
 
@@ -483,7 +489,7 @@ def fiber_constancy_check(
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if tau.shape != (alg.dims[2],):
         raise ValueError("tau must be a g_1 coordinate vector")
-    harm = torsion_is_harmonic(alg, kappa_m1, tol=1e-9)
+    harm = torsion_is_harmonic(alg, kappa_m1, tol=FIBER_HARMONIC_TOL)
     if not harm["passed"]:
         raise ValueError(
             f"kappa_m1 is not harmonic (d* residual {harm['residual']:.3e}); "

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _pairs, rank_cutoff
+from .graded_algebra import GradedLieAlgebra, _flat_nonzero, _pairs, rank_cutoff
 
 ONE_COCHAIN_GRADES = (0, 1)
 TWO_COCHAIN_GRADES = (-1, 0)
@@ -121,7 +121,7 @@ class Triplets:
 
     @classmethod
     def from_dense(cls, A: np.ndarray) -> Triplets:
-        rows, cols = np.nonzero(A)
+        rows, cols = np.divmod(_flat_nonzero(A), A.shape[1])
         return cls(rows, cols, A[rows, cols], A.shape)
 
     @classmethod
@@ -443,13 +443,14 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str) -> int:
     asserted).  H21 is the kernel of d on grade-1 one-cochains; nothing maps
     into that spot because the grading stops at g_1.  The kernel of d is
     read off its a < b rows, as in :func:`complementarity_check`, and every
-    rank, that of ad included, is :meth:`Blocks.rank`.
+    rank, that of ad included, is :meth:`Blocks.rank`.  The closure of the
+    ad image is checked exactly: any nonzero entry of d ad raises.
     """
     n, n0, n1 = alg.dims
     if level == "H11":
         D = _pair_rows(d_triplets(alg, 0), n)
         ad = alg.block(1, -1).reshape(n1, n * n0).T
-        if np.abs(D @ ad).max(initial=0.0) > 1e-10:
+        if (D @ ad).any():
             raise AssertionError("ad image is not d-closed; structure tensor corrupt")
         nullD = n * n0 - Blocks.split(D).rank()
         return nullD - Blocks.split(Triplets.from_dense(ad)).rank()

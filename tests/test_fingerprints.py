@@ -11,7 +11,9 @@ Each facts digest is the sha256 of a ``verify`` report with every float
 ``residual`` removed: it pins the check names, ``passed`` flags, integer
 values, kernel dimensions and ``detail`` dicts, and leaves the residuals
 free to move in their last digits.  The digests were recorded before the
-Spencer ranks, the harmonic sampler and the oracle went block by block.
+Spencer ranks, the harmonic sampler and the oracle went block by block;
+those of lagrangian and spinorial m = 7 before the dense operators were
+read by a chunked flat scan and the matrix cross-check was batched.
 """
 
 from __future__ import annotations
@@ -62,12 +64,16 @@ VERIFY_FACTS = {
     "default-grid": "a577af951ee9f29007a0fbbea160632cdb08a06a383aa030c75087834e100303",
     "lagrangian-6": "0617bcfe4fe3e2d206fd0b6f5be68e0b282c76c8d0cfb5618de7e90fa742d5ff",
     "spinorial-6": "9818ed5217d4d342e8daa51dfe481420c5768f3070f7f3b9a1114f66a4300267",
+    "lagrangian-7": "5dff7d5a1a4da28a7d829b058aa0084a1bae58dba8c650529df0ac6835071ee5",
+    "spinorial-7": "33c5b0b8f757bdc55abb862d4bd4419e8d0beba533a90b2afd22da99cddb5cb9",
 }
 
 VERIFY_ARGS = {
     "default-grid": [],
     "lagrangian-6": ["--kind", "lagrangian", "--m", "6"],
     "spinorial-6": ["--kind", "spinorial", "--m", "6"],
+    "lagrangian-7": ["--kind", "lagrangian", "--m", "7"],
+    "spinorial-7": ["--kind", "spinorial", "--m", "7"],
 }
 
 POINTS = list(GRID) + [(kind, {"m": m}) for kind in ("lagrangian", "spinorial") for m in (7, 8)]

@@ -5,11 +5,12 @@ per-basis-vector Jacobi loop and the grade-block Jacobi contraction, the
 unoptimized automorphism contraction, the full-matrix complementarity and
 cohomology ranks, the column-by-column g_0-trace map, the loop-built d and
 d* matrices, the unoptimized d* contraction, the whole-matrix SVD rank, the
-whole-matrix oracle solve, the dense-pinv harmonic sampler and scipy's
-matrix exponential.  Structure constants are dyadic rationals, so wherever
-the arithmetic is exact the two must agree bit for bit; the automorphism
-residual sums random floats in a new order and the exponential is a new
-algorithm, so those get bounds instead.
+whole-matrix oracle solve, the dense-pinv harmonic sampler, scipy's matrix
+exponential, the 2-d ``np.nonzero`` read of a dense matrix and the
+pair-by-pair matrix-realization cross-check.  Structure constants are
+dyadic rationals, so wherever the arithmetic is exact the two must agree
+bit for bit; the automorphism residual sums random floats in a new order
+and the exponential is a new algorithm, so those get bounds instead.
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import GRID, VERIFY_GRID, algebra, grid_id
+from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id
 
-from ahsnormal.graded_algebra import jacobi_residual
+from ahsnormal.graded_algebra import (
+    CHUNK_ENTRIES,
+    _flat_nonzero,
+    cross_check_matrix_rep,
+    jacobi_residual,
+    matrix_representation,
+)
 from ahsnormal.normalization import (
     NonUniquenessError,
     deformation_delta_kappa0,
@@ -205,6 +212,20 @@ def test_pair_row_ranks_match_full_matrices(kind, params):
         assert complementarity_check(alg, grade) == ref_complementarity(alg, grade)
     for level in ("H11", "H21"):
         assert cohomology_dim(alg, level) == ref_cohomology(alg, level)
+
+
+@pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
+def test_h11_refuses_an_ad_image_that_is_not_closed(kind, params):
+    # ref_cohomology forgave |d ad| up to 1e-10; cohomology_dim forgives nothing,
+    # not even the first structure constant off by 2^-40 of itself
+    alg = algebra(kind, **params)
+    off = dataclasses.replace(alg, C=alg.C.copy())
+    i, j, k = np.argwhere(alg.C != 0.0)[0]
+    off.C[i, j, k] *= 1.0 + 2.0**-40
+    off.C[j, i, k] *= 1.0 + 2.0**-40
+    for bad in (sign_flipped(alg), off):
+        with pytest.raises(AssertionError, match="not d-closed"):
+            cohomology_dim(bad, "H11")
 
 
 @pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)
@@ -455,3 +476,135 @@ def test_from_g0_exponential_matches_scipy_expm(kind, params):
 def test_from_g0_exponential_matches_extended_taylor(kind, params):
     for got, ad in from_g0_cases(algebra(kind, **params), 17):
         assert relative_error(got, ref_expm_extended(ad)) <= EXTENDED_EXPM_BOUND
+
+
+# ---------------------------------------------------------------------------
+# the chunked flat nonzero scan and the batched matrix cross-check
+# ---------------------------------------------------------------------------
+
+# Points beyond GRID for the cross-check: the pair kinds at m = 7, 8 and
+# conformal and projective past their GRID range.
+CROSS_CHECK_BEYOND = LARGE_PAIR + [("conformal", {"m": m}) for m in (7, 8)] + [
+    ("projective", {"q": q}) for q in (5, 6, 7)
+]
+
+
+def ref_from_dense(A: np.ndarray) -> Triplets:
+    rows, cols = np.nonzero(A)
+    return Triplets(rows, cols, A[rows, cols], A.shape)
+
+
+def ref_cross_check_matrix_rep(alg) -> dict:
+    rep = matrix_representation(alg)
+    scalars: dict[str, float] = {}
+    refs: dict[tuple[int, int], tuple[float, float]] = {}
+    worst = 0.0
+    idx = {g: range(alg.grade_slice(g).start, alg.grade_slice(g).stop) for g in (-1, 0, 1)}
+    for gx in (-1, 0, 1):
+        for gy in (-1, 0, 1):
+            for i in idx[gx]:
+                for j in idx[gy]:
+                    if j <= i:
+                        continue
+                    table = np.einsum("k,kuv->uv", alg.C[i, j], rep)
+                    mat = rep[i] @ rep[j] - rep[j] @ rep[i]
+                    tmax, mmax = np.abs(table).max(), np.abs(mat).max()
+                    if tmax == 0.0 and mmax == 0.0:
+                        continue
+                    if tmax == 0.0 or mmax == 0.0:
+                        worst = max(worst, tmax, mmax)
+                        continue
+                    key = (gx, gy)
+                    if key not in refs:
+                        flat = np.abs(table).argmax()
+                        refs[key] = (mat.flat[flat], table.flat[flat])
+                        scalars[f"({gx},{gy})"] = mat.flat[flat] / table.flat[flat]
+                    m0, t0 = refs[key]
+                    worst = max(worst, float(np.abs(mat * t0 - table * m0).max()))
+    return {"sector_scalars": scalars, "max_discrepancy": worst}
+
+
+def assert_same_triplets(got: Triplets, ref: Triplets) -> None:
+    assert got.shape == ref.shape
+    for name in ("rows", "cols", "vals"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_flat_nonzero_scan_matches_nonzero_on_operators(kind, params):
+    alg = algebra(kind, **params)
+    for grade in (0, 1):
+        A = d_matrix(alg, grade)
+        assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
+    for grade in (-1, 0):
+        A = dstar_matrix(alg, grade)
+        assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
+    M = trace_map_matrix(alg)
+    for A in (M, np.vstack([M, trace_g0_map_matrix(alg)])):
+        assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
+    got = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
+    for a, b in zip(got, np.nonzero(alg.C)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 5), (5, 0), (0, 0), (1, 1), (3, CHUNK_ENTRIES // 3 + 1), (2, CHUNK_ENTRIES),
+     (CHUNK_ENTRIES // 64 + 1, 64), (300, 701)],
+    ids=str,
+)
+def test_flat_nonzero_scan_matches_nonzero_on_random_input(shape):
+    rng = np.random.default_rng(sum(shape))
+    A = np.where(rng.random(shape) < 0.01, rng.integers(-4, 5, shape) / 4.0, 0.0)
+    special = rng.random(shape)
+    A[special < 0.005] = -0.0
+    A[special > 0.998] = np.nan
+    for view in (A, A.T, np.asfortranarray(A), A[::-1, ::2]):
+        assert_same_triplets(Triplets.from_dense(view), ref_from_dense(view))
+        assert _flat_nonzero(view).tobytes() == np.flatnonzero(view).tobytes()
+
+
+def mutated_per_sector(alg):
+    """Two copies per sector (g_x <= g_y): one with the sector's first
+    nonzero structure constant negated, antisymmetry kept, and one with
+    that bracket [b_i, b_j] dropped, so the table side vanishes alone.
+    Then one copy whose realization of the last g_0 basis element is zero,
+    so the matrix side vanishes alone."""
+    for gx in (-1, 0, 1):
+        for gy in range(gx, 2):
+            sx, sy = alg.grade_slice(gx), alg.grade_slice(gy)
+            nz = np.argwhere(alg.C[sx, sy] != 0.0)
+            if nz.size == 0:
+                continue
+            i, j, k = nz[0] + (sx.start, sy.start, 0)
+            C = alg.C.copy()
+            C[i, j, k] *= -1.0
+            C[j, i, k] *= -1.0
+            yield (gx, gy, "flip"), dataclasses.replace(alg, C=C)
+            C = alg.C.copy()
+            C[i, j] = C[j, i] = 0.0
+            yield (gx, gy, "drop"), dataclasses.replace(alg, C=C)
+    blocks = {name: B.copy() for name, B in alg.g0_blocks.items()}
+    for B in blocks.values():
+        B[-1] = 0.0
+    yield (0, 0, "realization"), dataclasses.replace(alg, g0_blocks=blocks)
+
+
+@pytest.mark.parametrize("kind,params", GRID + CROSS_CHECK_BEYOND, ids=grid_id)
+def test_batched_cross_check_matches_pair_loop(kind, params):
+    alg = algebra(kind, **params)
+    got, ref = cross_check_matrix_rep(alg), ref_cross_check_matrix_rep(alg)
+    assert got == ref and list(got["sector_scalars"]) == list(ref["sector_scalars"])
+    assert got["max_discrepancy"] == 0.0
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_batched_cross_check_matches_pair_loop_on_mutations(kind, params):
+    alg = algebra(kind, **params)
+    for case, bad in mutated_per_sector(alg):
+        got = cross_check_matrix_rep(bad)
+        assert got == ref_cross_check_matrix_rep(bad), case
+        # in sl(2) each sector holds one bracket, which a sector scalar absorbs
+        assert got["max_discrepancy"] > 0.0 or (alg.n_total == 3 and case[2] == "flip"), case
