@@ -31,13 +31,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded_algebra import GradedLieAlgebra, _pairs
-from .spencer import Blocks, OneCochain, Triplets, TwoCochain, _check_two, spencer_dstar
+from .spencer import Blocks, OneCochain, Triplets, TwoCochain, _check_two, spencer_d, spencer_dstar
 
-# fiber_constancy_check's thresholds, each relative to max(1, largest entry):
-# the default bound on the change of d* kappa0 along the fiber, and the bound
-# on d* kappa_m1 under which kappa_m1 counts as harmonic.
+# Fixed thresholds, each relative to max(1, largest entry), of
+# fiber_constancy_check, torsion_is_harmonic and oracle_gamma's solve.
 FIBER_TOL = 1e-10
 FIBER_HARMONIC_TOL = 1e-9
+ORACLE_RESIDUAL_TOL = 1e-9
 
 
 class NonUniquenessError(RuntimeError):
@@ -141,28 +141,28 @@ def block_trace_g0(alg: GradedLieAlgebra, phi: TwoCochain, block: str = "D") -> 
 def deformation_delta_kappa0(alg: GradedLieAlgebra, gamma: OneCochain) -> TwoCochain:
     """Curvature shift delta kappa0(Gamma)(X, Y) = [Gamma(X), Y] - [Gamma(Y), X].
 
-    Evaluated directly from the bracket table; it coincides with the Spencer
-    differential of Gamma viewed as a grade-1 one-cochain, and the test
-    suite asserts the agreement of the two paths.
+    This is the Spencer differential of Gamma viewed as a grade-1
+    one-cochain, so it is :func:`ahsnormal.spencer.spencer_d` after the
+    checks that Gamma is a deformation tensor of this algebra.
     """
     if gamma.grade != 1:
         raise ValueError("the deformation tensor is a grade-1 one-cochain")
     n = alg.dims[0]
     if gamma.data.shape != (n, alg.dims[2]):
         raise ValueError("deformation tensor shape does not match algebra")
-    B = alg.block(1, -1)
-    half = np.einsum("au,ubc->abc", gamma.data, B)
-    return TwoCochain(0, half - half.transpose(1, 0, 2))
+    return spencer_d(alg, gamma)
 
 
-def torsion_is_harmonic(alg: GradedLieAlgebra, torsion: TwoCochain, tol: float = 1e-10) -> dict:
-    """Check d*(torsion) = 0, the grade -1 half of the normalization condition."""
+def torsion_is_harmonic(alg: GradedLieAlgebra, torsion: TwoCochain) -> dict:
+    """Check d*(torsion) = 0, the grade -1 half of the normalization condition,
+    up to ``FIBER_HARMONIC_TOL`` relative to max(1, max|torsion|)."""
     if torsion.grade != -1:
         raise ValueError("torsion lives in grade -1")
     res = spencer_dstar(alg, torsion)
     scale = max(1.0, float(np.abs(torsion.data).max()))
     residual = float(np.abs(res.data).max())
-    return {"residual": residual, "scale": scale, "passed": bool(residual <= tol * scale)}
+    passed = residual <= FIBER_HARMONIC_TOL * scale
+    return {"residual": residual, "scale": scale, "passed": bool(passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +406,18 @@ def trace_g0_map_matrix(alg: GradedLieAlgebra) -> np.ndarray:
     return M.reshape(n * n, n * n1)
 
 
-def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain, tol: float = 1e-9) -> DeformationTensor:
+def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor:
     """Solve Tr(delta kappa0(Gamma)) = Tr(kappa0) for Gamma by least squares.
 
     The trace map is inverted one connected block at a time
     (:meth:`ahsnormal.spencer.Blocks.pinv`), which also gives its kernel
-    dimension.  ``tol`` bounds only the residual of the solve, relative to
-    max(1, max|Tr kappa0|); it plays no part in the kernel count.
+    dimension.  ``ORACLE_RESIDUAL_TOL`` bounds only the solve's residual,
+    relative to max(1, max|Tr kappa0|); it plays no part in the kernel count.
 
     Raises:
         NonUniquenessError: the assembled trace map has a nontrivial kernel
             (the sl(2) case).
-        ValueError: the solve leaves a residual beyond tolerance, i.e. the
+        ValueError: the solve leaves a residual beyond that bound, i.e. the
             trace data is not in the range of the map.
     """
     n, _, n1 = alg.dims
@@ -435,7 +435,7 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain, tol: float = 1e-9) -
     x = Minv @ b
     residual = float(np.abs(M @ x - b).max())
     scale = max(1.0, float(np.abs(b).max()))
-    if residual > tol * scale:
+    if residual > ORACLE_RESIDUAL_TOL * scale:
         raise ValueError(f"trace data outside the range of the trace map (residual {residual:.3e})")
     return DeformationTensor(alg.kind, dict(alg.params), OneCochain(1, x.reshape(n, n1)), "oracle")
 
@@ -467,7 +467,6 @@ def fiber_constancy_check(
     kappa0: TwoCochain,
     kappa_m1: TwoCochain,
     tau: np.ndarray,
-    tol: float = FIBER_TOL,
 ) -> dict:
     """The normalization condition does not depend on the fiber coordinate.
 
@@ -477,7 +476,7 @@ def fiber_constancy_check(
     (d* kappa_m1 = 0), the codifferential of the shift vanishes, so
     d* kappa0' = d* kappa0 and the normalization condition is fiberwise
     constant.  ``tau`` is the g_1 coordinate vector of the displacement at
-    the point being modeled.
+    the point being modeled; the change may be at most ``FIBER_TOL``.
 
     Raises:
         ValueError: kappa_m1 is not harmonic, so the statement's hypothesis
@@ -489,7 +488,7 @@ def fiber_constancy_check(
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if tau.shape != (alg.dims[2],):
         raise ValueError("tau must be a g_1 coordinate vector")
-    harm = torsion_is_harmonic(alg, kappa_m1, tol=FIBER_HARMONIC_TOL)
+    harm = torsion_is_harmonic(alg, kappa_m1)
     if not harm["passed"]:
         raise ValueError(
             f"kappa_m1 is not harmonic (d* residual {harm['residual']:.3e}); "
@@ -501,4 +500,4 @@ def fiber_constancy_check(
     d0 = spencer_dstar(alg, kappa0).data
     scale = max(1.0, float(np.abs(d0).max()))
     residual = float(np.abs(d1 - d0).max())
-    return {"residual": residual, "scale": scale, "passed": bool(residual <= tol * scale)}
+    return {"residual": residual, "scale": scale, "passed": bool(residual <= FIBER_TOL * scale)}

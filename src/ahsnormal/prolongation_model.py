@@ -34,6 +34,9 @@ from .spencer import (
     spencer_d,
 )
 
+# second_torsion_reduction's bound on its residuals, relative to max(1, max|input|)
+SECOND_TORSION_TOL = 1e-10
+
 
 def _expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Higham, SIAM J. Matrix
@@ -155,20 +158,18 @@ def z_drop_residual(alg: GradedLieAlgebra) -> float:
     return float(np.abs(cross - cross.transpose(0, 2, 1, 3)).max())
 
 
-def torsion_equivariance(
-    alg: GradedLieAlgebra, t: TwoCochain, fc: FrameChange, tol: float = 1e-10
-) -> TwoCochain:
+def torsion_equivariance(alg: GradedLieAlgebra, t: TwoCochain, fc: FrameChange) -> TwoCochain:
     """Torsion of a frame moved by b = b0 exp(Z): the b0-action on t.
 
     The grade-1 factor exp(Z) drops out; the function verifies the bracket
-    cancellation that makes it drop out and raises if the algebra violates
-    it (it cannot, for a Jacobi-exact structure tensor).
+    cancellation exactly, as :func:`z_drop_residual` == 0.0, and raises if
+    the algebra violates it (it cannot, for a Jacobi-exact structure tensor).
     """
     if t.grade != -1:
         raise ValueError("torsion is a grade -1 two-cochain")
     _check_two(alg, t)
     drop = z_drop_residual(alg)
-    if drop > tol:
+    if drop != 0.0:
         raise RuntimeError(
             f"exp(g_1) failed to act trivially on torsion (residual {drop:.3e}); "
             "the structure tensor violates the Jacobi identity"
@@ -204,9 +205,7 @@ def model_second_torsion(
     return full
 
 
-def second_torsion_reduction(
-    alg: GradedLieAlgebra, full: np.ndarray, tol: float = 1e-10
-) -> tuple[TwoCochain, dict]:
+def second_torsion_reduction(alg: GradedLieAlgebra, full: np.ndarray) -> tuple[TwoCochain, dict]:
     """Reduce a second-level torsion to its free g_0-valued component.
 
     ``full`` holds the torsion values on basis pairs of g_{-1} + g_0 with
@@ -224,7 +223,8 @@ def second_torsion_reduction(
     the projected bracket itself and is reported without raising.
 
     Raises:
-        ValueError: a nonzero input violates the identity beyond tolerance.
+        ValueError: a nonzero input violates the identity beyond
+            ``SECOND_TORSION_TOL``.
     """
     n, n0, _ = alg.dims
     N2 = n + n0
@@ -241,7 +241,8 @@ def second_torsion_reduction(
     alternation = float(np.abs(full + full.transpose(1, 0, 2)).max())
     zero_input = not np.any(full)
     scale = max(1.0, float(np.abs(full).max()))
-    consistent = defect <= tol * scale and alternation <= tol * scale
+    bound = SECOND_TORSION_TOL * scale
+    consistent = defect <= bound and alternation <= bound
     report = {
         "defect": defect,
         "alternation": alternation,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _flat_nonzero, _pairs, rank_cutoff
+from .graded_algebra import GradedLieAlgebra, _flat_nonzero, rank_cutoff
 
 ONE_COCHAIN_GRADES = (0, 1)
 TWO_COCHAIN_GRADES = (-1, 0)
@@ -422,17 +422,6 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
         "total_dim": total,
         "complementary": bool(inter == 0 and r_im + r_ker == total),
     }
-
-
-def _alternating_injection(n: int, nv: int) -> np.ndarray:
-    """Isometry-up-to-scale from (a<b, k) coordinates into full (a, b, k) storage."""
-    pairs = _pairs(n, -1)
-    M = np.zeros((n * n * nv, len(pairs) * nv))
-    for t, (a, b) in enumerate(pairs):
-        for k in range(nv):
-            M[(a * n + b) * nv + k, t * nv + k] = 1.0
-            M[(b * n + a) * nv + k, t * nv + k] = -1.0
-    return M
 
 
 def cohomology_dim(alg: GradedLieAlgebra, level: str) -> int:

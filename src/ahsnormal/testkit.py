@@ -36,7 +36,6 @@ from .spencer import (
     Blocks,
     OneCochain,
     TwoCochain,
-    _alternating_injection,
     _value_dim,
     d_triplets,
     dstar_matrix,
@@ -126,14 +125,20 @@ def harmonic_basis(
     """
     n = alg.dims[0]
     nv = _value_dim(alg, grade)
-    alt = _alternating_injection(n, nv)
     rows = [dstar_matrix(alg, grade)]
     if block_trace_free:
         rows.append(_block_trace_rows(alg, grade))
-    M = np.vstack(rows) @ alt
+    F = np.vstack(rows).reshape(-1, n, n, nv)
+    # alternating inputs in (a < b, k) coordinates: column (a, b, k) minus (b, a, k)
+    a, b = np.triu_indices(n, 1)
+    M = (F[:, a, b] - F[:, b, a]).reshape(F.shape[0], -1)
     _, s, vt = np.linalg.svd(M)
     rank = int((s > rank_cutoff(s.max(initial=0.0))).sum())
-    return alt @ vt[rank:].T
+    V = vt[rank:].T.reshape(a.size, nv, M.shape[1] - rank)
+    out = np.zeros((n, n, nv, V.shape[2]))
+    out[a, b] = V
+    out[b, a] = -V
+    return out.reshape(n * n * nv, -1)
 
 
 def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):

@@ -186,6 +186,30 @@ def test_normalize_input_validation(tmp_path):
 
 
 
+@pytest.mark.parametrize("params", [[1, 2], 5, None, [["m", 3]], "m=3"], ids=repr)
+def test_normalize_rejects_params_that_are_not_an_object(tmp_path, capsys, params):
+    alg = algebra("conformal", m=3)
+    n, n0, _ = alg.dims
+    src = tmp_path / "k0.json"
+    src.write_text(json.dumps({"params": params, "kappa0": np.zeros((n, n, n0)).tolist()}))
+    argv = ["normalize", "--kind", "conformal", "--m", "3", "--input", str(src)]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "params" in err
+
+
+def test_unwritable_output_exits_validation(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        argv = ["algebra-info", "--kind", "conformal", "--m", "3", "--output", str(target)]
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_normalize_rejects_deeply_nested_input(tmp_path, capsys):
     depth = 100_000
     deep = tmp_path / "deep.json"
@@ -381,6 +405,45 @@ def test_verify_debug_mutate_detects_corruption(tmp_path):
     (point,) = rep["points"]
     checks = {c["check"]: c["passed"] for c in point["checks"]}
     assert checks["jacobi"] is False
+
+
+def test_verify_jacobi_is_exact_whatever_the_tolerance(tmp_path):
+    # a corrupt tensor stops at the jacobi record even under a huge
+    # --tolerance, before any check that presupposes a Lie bracket
+    argv = ["verify", "--debug-mutate", "--tolerance", "10"]
+    code, rep, _ = run_to_file(tmp_path, "v.json", argv)
+    assert code == EXIT_INVARIANT
+    assert len(rep["points"]) == 17
+    for point in rep["points"]:
+        last = point["checks"][-1]
+        assert last["check"] == "jacobi" and not last["passed"] and last["residual"] > 0.0
+
+
+def test_tiny_tolerance_fails_only_float_agreements(tmp_path):
+    # --tolerance bounds float agreements alone: below the rounding of the
+    # solves they fail, and every exact fact and fixed threshold still holds
+    argv = ["verify", "--kind", "conformal", "--m", "3", "--tolerance", "1e-17"]
+    code, rep, _ = run_to_file(tmp_path, "v.json", argv)
+    assert code == EXIT_INVARIANT
+    (point,) = rep["points"]
+    failed = {c["check"] for c in point["checks"] if not c["passed"]}
+    assert failed
+    assert failed <= {"trace_dual_route", "normalization_round_trip", "normalized_trace_residual"}
+
+
+def test_normalize_tiny_tolerance_reports_the_disagreement(tmp_path):
+    from ahsnormal.testkit import round_trip_sample
+
+    alg = algebra("conformal", m=3)
+    _, k0 = round_trip_sample(alg, np.random.default_rng(7))
+    src = tmp_path / "k0.json"
+    src.write_text(json.dumps({"kind": "conformal", "params": {"m": 3}, "kappa0": k0.data.tolist()}))
+    argv = ["normalize", "--kind", "conformal", "--m", "3", "--input", str(src)]
+    code, rep, _ = run_to_file(tmp_path, "n.json", argv + ["--tolerance", "1e-17"])
+    assert code == EXIT_INVARIANT
+    code, default, _ = run_to_file(tmp_path, "d.json", argv)
+    assert code == EXIT_OK
+    assert rep == default
 
 
 def test_verify_h11_check(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,30 @@ def test_torsion_equivariance_commutes_with_dstar(kind, params):
     rhs = group_action_one_cochain(alg, fc, spencer_dstar(alg, t))
     scale = max(1.0, float(np.abs(lhs.data).max()))
     np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-8 * scale)
+
+
+def z_flips(alg):
+    """Copies of the algebra with one [z, x] bracket (z in g_1, x in g_{-1})
+    sign-flipped, one per nonzero structure constant of that block."""
+    sz, sx = alg.grade_slice(1), alg.grade_slice(-1)
+    for z, x, k in np.argwhere(alg.C[sz, sx] != 0.0):
+        C = alg.C.copy()
+        C[z + sz.start, x, k] *= -1.0
+        C[x, z + sz.start, k] *= -1.0
+        yield dataclasses.replace(alg, C=C)
+
+
+@pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
+def test_torsion_equivariance_refuses_a_broken_z_drop(kind, params):
+    # not every flip breaks [[Z, X], Y] = [[Z, Y], X] (3 of the 15 at
+    # projective q = 3 keep it); the first flip that does must stop the
+    # frame change
+    alg = algebra(kind, **params)
+    bad = next(b for b in z_flips(alg) if z_drop_residual(b) > 0.0)
+    rng = np.random.default_rng(68)
+    fc = FrameChange.from_g0(alg, rng.uniform(-0.5, 0.5, alg.dims[1]))
+    with pytest.raises(RuntimeError, match="exp\\(g_1\\)"):
+        torsion_equivariance(bad, random_torsion(bad, rng), fc)
 
 
 def test_frame_change_validation():
