@@ -10,7 +10,9 @@ failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from itertools import chain
 
@@ -91,6 +93,15 @@ def _emit(report: dict, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_output(output: str | None) -> None:
+    """Raise the OSError that writing ``output`` would raise where it is known
+    before anything is created: a directory, or a missing parent directory."""
+    if output and os.path.isdir(output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
+    if output and not os.path.isdir(os.path.dirname(output) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output)
 
 
 def _grid(args: argparse.Namespace) -> list[tuple[str, dict]]:
@@ -371,6 +382,8 @@ def _verify_point(
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     if args.samples < 1:
         raise ParameterError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ParameterError(f"--seed must be non-negative, got {args.seed}")
     _check_tolerance(args.tolerance)
     points = _grid(args)
     if not points:
@@ -472,9 +485,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cannot_write(err: OSError) -> int:
+    sys.stderr.write(f"error: cannot write --output: {err}\n")
+    return EXIT_VALIDATION
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        _check_output(args.output)
+    except OSError as err:
+        return _cannot_write(err)
     try:
         if args.command == "algebra-info":
             report, code = cmd_algebra_info(args)
@@ -496,9 +518,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     try:
         _emit(report, args.output)
-    except OSError as err:
-        sys.stderr.write(f"error: cannot write --output: {err}\n")
-        return EXIT_VALIDATION
+    except OSError as err:  # a failure only the write reveals
+        return _cannot_write(err)
     except ValueError as err:
         # validated input never yields NaN or infinity; a report that does
         # holds a broken computation, not a bad request

@@ -195,13 +195,16 @@ def _pairs(m: int, eps: int) -> list[tuple[int, int]]:
     return [(k, l) for k in range(m) for l in range(k if eps > 0 else k + 1, m)]
 
 
-def _pair_index(pairs: list[tuple[int, int]], eps: int) -> dict:
-    """(a, b) -> (t, sign) with x(a, b) = sign * x(pairs[t]) and x(b, a) = eps * x(a, b)."""
-    index = {}
-    for t, (k, l) in enumerate(pairs):
-        index[(k, l)] = (t, 1.0)
-        index[(l, k)] = (t, float(eps))
-    return index
+def _pair_table(m: int, eps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slot, sign) with x(a, b) = sign[a, b] * x(pairs[slot[a, b]]) over
+    :func:`_pairs`, so x(b, a) = eps * x(a, b); slot is -1 where x(a, b) is
+    absent (a = b when eps = -1)."""
+    ps, pt = np.triu_indices(m, 0 if eps > 0 else 1)
+    slot = np.full((m, m), -1, dtype=np.intp)
+    slot[ps, pt] = slot[pt, ps] = np.arange(ps.size)
+    sign = np.full((m, m), float(eps))
+    sign[ps, pt] = 1.0
+    return slot, sign
 
 
 def _gl_basis(m: int) -> np.ndarray:
@@ -248,59 +251,45 @@ def _build_conformal(m: int) -> GradedLieAlgebra:
     labels += ["Z0"] + [f"F({k + 1},{l + 1})" for k, l in rot]
     labels += [f"z{j + 1}" for j in range(m)]
 
-    f_at = _pair_index(rot, -1)  # F_ij = -F_ji
+    slot, sign = _pair_table(m, -1)  # F_ij = -F_ji
+    ps, pt = np.triu_indices(m, 1)  # rot as index arrays
 
     C = np.zeros((N, N, N))
     o0, o1 = n, n + n0
     of = o0 + 1  # F(k, l) = rot[t] sits at of + t
 
-    def put(i: int, j: int, k: int, v: float) -> None:
-        C[i, j, k] += v
-        C[j, i, k] -= v
-
     # [x_i, z_j] = -delta_ij Z0 + F_ij
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                put(i, o1 + j, o0, -1.0)
-            else:
-                t, s = f_at[(i, j)]
-                put(i, o1 + j, of + t, s)
+    i, j = np.indices((m, m)).reshape(2, -1)
+    hit = i != j
+    _put_brackets(C, i[~hit], o1 + j[~hit], o0, -1.0)
+    _put_brackets(C, i[hit], o1 + j[hit], of + slot[i, j][hit], sign[i, j][hit])
 
     # [Z0, x_j] = -x_j ; [Z0, z_j] = +z_j
-    for j in range(m):
-        put(o0, j, j, -1.0)
-        put(o0, o1 + j, o1 + j, 1.0)
+    j = np.arange(m)
+    _put_brackets(C, o0, j, j, -1.0)
+    _put_brackets(C, o0, o1 + j, o1 + j, 1.0)
 
     # [F_kl, x_j] = delta_lj x_k - delta_kj x_l, and the same so(m) pattern
     # on g_1 (required by invariance of the pairing):
     # [F_kl, z_j] = delta_lj z_k - delta_kj z_l
-    for t, (k, l) in enumerate(rot):
-        for j in range(m):
-            if l == j:
-                put(of + t, j, k, 1.0)
-                put(of + t, o1 + j, o1 + k, 1.0)
-            if k == j:
-                put(of + t, j, l, -1.0)
-                put(of + t, o1 + j, o1 + l, -1.0)
+    t = np.arange(len(rot))
+    for j, a, v in ((pt, ps, 1.0), (ps, pt, -1.0)):
+        _put_brackets(C, of + t, j, a, v)
+        _put_brackets(C, of + t, o1 + j, o1 + a, v)
 
-    # [F_ij, F_kl] = d_jk F_il - d_ik F_jl - d_jl F_ik + d_il F_jk
-    for t1, (i, j) in enumerate(rot):
-        for t2, (k, l) in enumerate(rot):
-            if t2 <= t1:
-                continue
-            for (a, b), coef in (((i, l), float(j == k)), ((j, l), -float(i == k)),
-                                 ((i, k), -float(j == l)), ((j, k), float(i == l))):
-                if coef != 0.0 and a != b:
-                    u, s = f_at[(a, b)]
-                    put(of + t1, of + t2, of + u, coef * s)
+    # [F_ij, F_kl] = d_jk F_il - d_ik F_jl - d_jl F_ik + d_il F_jk, pairs t1 < t2
+    t1, t2 = np.triu_indices(len(rot), 1)
+    i, j, k, l = ps[t1], pt[t1], ps[t2], pt[t2]
+    for hit, a, b, v in ((j == k, i, l, 1.0), (i == k, j, l, -1.0),
+                         (j == l, i, k, -1.0), (i == l, j, k, 1.0)):
+        hit &= slot[a, b] >= 0
+        _put_brackets(C, of + t1[hit], of + t2[hit], of + slot[a, b][hit], v * sign[a, b][hit])
 
     a_vec = np.zeros(n0)
     a_vec[0] = 1.0
     E_mats = np.zeros((n0, m, m))
-    for t, (k, l) in enumerate(rot, 1):
-        E_mats[t][k, l] = 1.0
-        E_mats[t][l, k] = -1.0
+    E_mats[1 + t, ps, pt] = 1.0
+    E_mats[1 + t, pt, ps] = -1.0
 
     return GradedLieAlgebra(
         kind="conformal",
@@ -425,29 +414,17 @@ def _build_projective(q: int) -> GradedLieAlgebra:
     labels += [f"h({i + 1},{j + 1})" for i in range(q) for j in range(q)]
     labels += [f"z{j + 1}" for j in range(q)]
 
-    def h_idx(i: int, j: int) -> int:
-        return i * q + j
-
     C = np.zeros((N, N, N))
     o0, o1 = n, n + n0
-
-    def put(i: int, j: int, k: int, v: float) -> None:
-        C[i, j, k] += v
-        C[j, i, k] -= v
+    i, j = np.indices((q, q)).reshape(2, -1)  # h(i, j) sits at o0 + i*q + j
 
     # [x_i, z_j] = h(j, i) + delta_ij * sum_k h(k, k)
-    for i in range(q):
-        for j in range(q):
-            put(i, o1 + j, o0 + h_idx(j, i), 1.0)
-            if i == j:
-                for k in range(q):
-                    put(i, o1 + j, o0 + h_idx(k, k), 1.0)
+    _put_brackets(C, i, o1 + j, o0 + j * q + i, 1.0)
+    _put_brackets(C, i, o1 + i, o0 + j * (q + 1), 1.0)
 
     # [h(i,j), x_k] = delta_ik x_j ; [h(i,j), z_k] = -delta_jk z_i
-    for i in range(q):
-        for j in range(q):
-            put(o0 + h_idx(i, j), i, j, 1.0)
-            put(o0 + h_idx(i, j), o1 + j, o1 + i, -1.0)
+    _put_brackets(C, o0 + i * q + j, i, j, 1.0)
+    _put_brackets(C, o0 + i * q + j, o1 + j, o1 + i, -1.0)
 
     _fill_gl_internal(C, q, o0)
 
@@ -487,11 +464,7 @@ def _build_pair(m: int, eps: int) -> GradedLieAlgebra:
     labels += [f"z({k + 1},{l + 1})" for k, l in pairs]
 
     ps, pt = np.array(pairs, dtype=np.intp).T
-    # x(a, b) = sign[a, b] * x(pairs[slot[a, b]]); slot -1 where x(a, b) is absent
-    slot = np.full((m, m), -1, dtype=np.intp)
-    slot[ps, pt] = slot[pt, ps] = np.arange(n)
-    sign = np.full((m, m), float(eps))
-    sign[ps, pt] = 1.0
+    slot, sign = _pair_table(m, eps)
 
     C = np.zeros((N, N, N))
     o0, o1 = n, n + n0

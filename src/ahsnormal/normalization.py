@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _pairs
+from .graded_algebra import GradedLieAlgebra, _pair_table, _pairs
 from .spencer import Blocks, OneCochain, Triplets, TwoCochain, _check_two, spencer_d, spencer_dstar
 
 # Fixed thresholds, each relative to max(1, largest entry), of
@@ -288,11 +288,9 @@ def _gamma_pair(m: int, trace_r: np.ndarray, eps: int) -> DeformationTensor:
     trace_r = np.asarray(trace_r, dtype=float)
     if trace_r.shape != (n, n):
         raise ValueError(f"trace data must be {n} x {n}")
-    k, l = np.array(pairs).T
-    T4 = np.zeros((m, m, m, m))
-    for a, b, sa in ((k, l, 1.0), (l, k, eps)):
-        for c, d, sc in ((k, l, 1.0), (l, k, eps)):
-            T4[a[:, None], b[:, None], c, d] = (sa * sc) * trace_r
+    slot, sign = _pair_table(m, eps)
+    s, t = slot[:, :, None, None], slot  # the pairs (a, b) and (c, d)
+    T4 = np.where((s >= 0) & (t >= 0), sign[:, :, None, None] * sign * trace_r[s, t], 0.0)
     G4 = (
         m * np.einsum("klpq->pqkl", T4)
         + np.einsum("qlpk->pqkl", T4)

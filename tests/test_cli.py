@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -199,7 +200,7 @@ def test_normalize_rejects_params_that_are_not_an_object(tmp_path, capsys, param
     assert err.startswith("error:") and err.count("\n") == 1 and "params" in err
 
 
-def test_unwritable_output_exits_validation(tmp_path, capsys):
+def test_unwritable_output_exits_validation(tmp_path, capsys, monkeypatch):
     # a directory, and a file in a directory that does not exist
     for target in (tmp_path, tmp_path / "missing" / "report.json"):
         argv = ["algebra-info", "--kind", "conformal", "--m", "3", "--output", str(target)]
@@ -208,6 +209,30 @@ def test_unwritable_output_exits_validation(tmp_path, capsys):
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+    # refused before the command runs: verify never reaches a point
+    from ahsnormal import cli
+
+    def no_point(*args):
+        raise AssertionError("verify ran a point before refusing --output")
+
+    monkeypatch.setattr(cli, "_verify_point", no_point)
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        argv = ["verify", "--kind", "lagrangian", "--m", "6", "--output", str(target)]
+        assert main(argv) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot write --output:") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the Linux /dev/full device")
+def test_output_failure_at_write_exits_validation(capsys):
+    # /dev/full passes the up-front check; only the write fails (ENOSPC)
+    argv = ["algebra-info", "--kind", "conformal", "--m", "3", "--output", "/dev/full"]
+    assert main(argv) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write --output:") and err.count("\n") == 1
 
 
 def test_normalize_rejects_deeply_nested_input(tmp_path, capsys):
@@ -360,6 +385,19 @@ def test_verify_h11_check_rejects_debug_mutate(tmp_path, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert "--debug-mutate" in err and "--check h11" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--check", "h11"]], ids=["suite", "h11"])
+def test_verify_rejects_negative_seed(tmp_path, capsys, extra):
+    out = tmp_path / "v.json"
+    argv = ["verify", "--kind", "projective", "--q", "2", "--seed", "-1", *extra]
+    assert main(argv) == EXIT_VALIDATION
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "--seed" in err
+    assert main(argv + ["--output", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+
 
 def test_verify_rejects_samples_below_one(tmp_path):
     for samples in ("0", "-1"):

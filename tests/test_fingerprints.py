@@ -13,7 +13,10 @@ values, kernel dimensions and ``detail`` dicts, and leaves the residuals
 free to move in their last digits.  The digests were recorded before the
 Spencer ranks, the harmonic sampler and the oracle went block by block;
 those of lagrangian and spinorial m = 7 before the dense operators were
-read by a chunked flat scan and the matrix cross-check was batched.
+read by a chunked flat scan and the matrix cross-check was batched.  The
+structure digests of conformal m = 7, 8 and projective q = 5, 6, 7 were
+recorded before those two builders went from scalar bracket loops to
+index-array writes.
 """
 
 from __future__ import annotations
@@ -58,6 +61,11 @@ FINGERPRINTS = {
     "lagrangian-8": "79de23a450063913243c6bd8254e2e546f6cf95370d6c7ae79450ffefc761695",
     "spinorial-7": "a93dc6fc2acb28b344c0ce78c293f80dd47f5a118467294f81a10b4ced8f3ead",
     "spinorial-8": "3ab5fcd8ab066579e07be82d5c9ce384c8ac6db32a857c08c73f1eae25d4b0dc",
+    "conformal-7": "6e6e461bc1ac832072553c30525d2e9b70fed1d78a0ac005747e645e85b39a1c",
+    "conformal-8": "ea5eef31fe7910edcfd2450c7bcab91c826a850aadb248a1212a63ee5b00cdd8",
+    "projective-5": "570a263c2c454af1b768a51f14a6b0d20366e9d0586afb132247afefc329541f",
+    "projective-6": "f8481efc6e2d1bc22073b8f0f36f9839025bb6fe8e6cf3ced579072a88d33978",
+    "projective-7": "494540dde762b2102a80a8108a536f2654fa2e54fd55a236f5089a09dfd92f7c",
 }
 
 VERIFY_FACTS = {
@@ -76,7 +84,12 @@ VERIFY_ARGS = {
     "spinorial-7": ["--kind", "spinorial", "--m", "7"],
 }
 
-POINTS = list(GRID) + [(kind, {"m": m}) for kind in ("lagrangian", "spinorial") for m in (7, 8)]
+POINTS = (
+    list(GRID)
+    + [(kind, {"m": m}) for kind in ("lagrangian", "spinorial") for m in (7, 8)]
+    + [("conformal", {"m": m}) for m in (7, 8)]
+    + [("projective", {"q": q}) for q in (5, 6, 7)]
+)
 
 
 def fingerprint(kind: str, params: dict) -> str:

@@ -25,9 +25,19 @@ from ahsnormal.normalization import (
     trace_g0,
     trace_kappa0,
     trace_kappa0_via_dstar,
+    trace_map_matrix,
     uniqueness_certificate,
 )
-from ahsnormal.spencer import OneCochain, TwoCochain, d_triplets, spencer_d, spencer_dstar
+from ahsnormal.spencer import (
+    OneCochain,
+    Triplets,
+    TwoCochain,
+    cohomology_dim,
+    d_triplets,
+    dstar_triplets,
+    spencer_d,
+    spencer_dstar,
+)
 from ahsnormal.testkit import (
     harmonic_sampler,
     random_gamma,
@@ -343,6 +353,23 @@ def test_uniqueness_certificate(kind, params):
         assert cert["stacked_kernel_dim"] == 0
         assert cert["unique"]
         assert cert["normalizable"]
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_trace_map_is_codifferential_of_differential(kind, params):
+    # Tr(delta kappa0(Gamma))[x, v] = <z_v, x_v> d*(d Gamma)[x, v]: the trace
+    # map is d* d with row (x, v) scaled by the pairing, exactly.  Hence its
+    # kernel is ker d* d = ker d on grade-1 one-cochains, whose dimension is
+    # H21 (im d and ker d* meet only in 0).
+    alg = algebra(kind, **params)
+    n = alg.dims[0]
+    prod = dstar_triplets(alg, 0) @ d_triplets(alg, 1)
+    got = Triplets.from_dense(trace_map_matrix(alg))
+    assert got.shape == prod.shape
+    assert np.array_equal(got.rows, prod.rows) and np.array_equal(got.cols, prod.cols)
+    assert np.array_equal(got.vals, np.diag(alg.pairing)[prod.rows % n] * prod.vals)
+    cert = uniqueness_certificate(alg)
+    assert cert["trace_map_kernel_dim"] == cohomology_dim(alg, "H21")
 
 
 # ---------------------------------------------------------------------------
