@@ -485,14 +485,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: in-process callers run main per request
+
+
 def _cannot_write(err: OSError) -> int:
     sys.stderr.write(f"error: cannot write --output: {err}\n")
     return EXIT_VALIDATION
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         _check_output(args.output)
     except OSError as err:

@@ -206,7 +206,7 @@ class Blocks:
                 root = jumped
         # number the blocks, then place each row and column inside its block:
         # rows before columns, each in index order
-        nodes = np.union1d(u, v)
+        nodes = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=m + n))
         _, block = np.unique(root[nodes], return_inverse=True)
         is_row = nodes < m
         nrows = np.bincount(block[is_row], minlength=block.max(initial=-1) + 1)
@@ -448,19 +448,24 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str) -> int:
     raise ValueError(f"level must be 'H11' or 'H21', got {level!r}")
 
 
+def _hodge_parts(alg: GradedLieAlgebra, grade: int) -> tuple[Triplets, Blocks, Triplets]:
+    """Sparse d and d* around grade-``grade`` two-cochains, and pinv(d* d) taken
+    block by block: the harmonic part of t is t - D @ (P @ (S @ t))."""
+    D, S = d_triplets(alg, grade + 1), dstar_triplets(alg, grade)
+    P, _ = Blocks.split(S @ D).pinv()
+    return D, P, S
+
+
 def harmonic_decompose(alg: GradedLieAlgebra, t: TwoCochain) -> tuple[TwoCochain, OneCochain]:
     """Split t = harmonic + d(psi) with d*(harmonic) = 0 and psi of minimal norm.
 
     Solves the normal equation (d* d) psi = d* t with the pseudo-inverse of
-    d* d, taken block by block; the minimal-norm solution makes the split
-    deterministic.
+    d* d from :func:`_hodge_parts`; the minimal-norm solution makes the
+    split deterministic.
     """
     _check_two(alg, t)
-    one_grade = t.grade + 1
-    S = dstar_triplets(alg, t.grade)
-    P, _ = Blocks.split(S @ d_triplets(alg, one_grade)).pinv()
-    psi_vec = P @ (S @ t.data.reshape(-1))
-    psi = OneCochain(one_grade, psi_vec.reshape(alg.dims[0], _value_dim(alg, one_grade)))
+    _, P, S = _hodge_parts(alg, t.grade)
+    psi = OneCochain(t.grade + 1, (P @ (S @ t.data.reshape(-1))).reshape(alg.dims[0], -1))
     harm = TwoCochain(t.grade, t.data - spencer_d(alg, psi).data)
     return harm, psi
 

@@ -1,10 +1,16 @@
-"""Shared test helpers: a cached algebra factory and the parameter grid."""
+"""Shared test helpers: a cached algebra factory, the parameter grid and
+an explicit basis of the harmonic two-cochains."""
 
 from __future__ import annotations
 
 import functools
 
+import numpy as np
+
 from ahsnormal import build_algebra
+from ahsnormal.graded_algebra import _pairs, rank_cutoff
+from ahsnormal.spencer import _value_dim, dstar_matrix
+from ahsnormal.testkit import _block_trace_rows
 
 # Full parameter grid: every kind over its validity range, with the
 # degenerate sl(2) = grassmannian(1, 1) included for structural checks.
@@ -60,3 +66,33 @@ def _cached(kind: str, items: tuple) -> object:
 def algebra(kind: str, **params):
     """Cached algebra factory; tests must not mutate the returned object."""
     return _cached(kind, tuple(sorted(params.items())))
+
+
+def ref_alternating_injection(n: int, nv: int) -> np.ndarray:
+    pairs = _pairs(n, -1)
+    M = np.zeros((n * n * nv, len(pairs) * nv))
+    for t, (a, b) in enumerate(pairs):
+        for k in range(nv):
+            M[(a * n + b) * nv + k, t * nv + k] = 1.0
+            M[(b * n + a) * nv + k, t * nv + k] = -1.0
+    return M
+
+
+def ref_harmonic_basis(alg, grade: int, block_trace_free: bool = False) -> np.ndarray:
+    """Basis of the harmonic alternating two-cochains at ``grade``.
+
+    Columns are vectorized (n, n, nv) arrays in the kernel of the
+    codifferential; with ``block_trace_free`` (grassmannian grade 0) the
+    per-pair gl-block trace of the values vanishes as well.  Built by a
+    dense SVD through an explicit alternating injection.
+    """
+    n = alg.dims[0]
+    nv = _value_dim(alg, grade)
+    alt = ref_alternating_injection(n, nv)
+    rows = [dstar_matrix(alg, grade)]
+    if block_trace_free:
+        rows.append(_block_trace_rows(alg, grade))
+    M = np.vstack(rows) @ alt
+    _, s, vt = np.linalg.svd(M)
+    rank = int((s > rank_cutoff(s.max(initial=0.0))).sum())
+    return alt @ vt[rank:].T

@@ -17,19 +17,37 @@ read by a chunked flat scan and the matrix cross-check was batched.  The
 structure digests of conformal m = 7, 8 and projective q = 5, 6, 7 were
 recorded before those two builders went from scalar bracket loops to
 index-array writes.
+
+Each harmonic digest is the sha256 of the bytes of three
+``harmonic_sampler`` draws at grade -1, at grade 0 and, on grassmannian
+points, block-trace-free at grade 0, followed by one ``harmonic_decompose``
+split (harmonic part and psi) per grade.  They were recorded before the
+sampler and the decomposition came to share one Hodge projector.  Unlike
+the digests above they pin floating-point output that passes through
+LAPACK SVDs and BLAS products, whose last bits depend on the BLAS build,
+its kernels and its thread count; they are computed in a child process
+pinned to one thread and to OpenBLAS's Haswell kernels, and compared only
+under the BLAS build they were recorded with.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from conftest import GRID, grid_id
 
 from ahsnormal import build_algebra, serialize
 from ahsnormal.cli import main
+from ahsnormal.spencer import TwoCochain, harmonic_decompose
+from ahsnormal.testkit import harmonic_sampler
 
 FINGERPRINTS = {
     "conformal-3": "764cd528b4cf9e912e0b935bf857d43730606598fd164cbc4976493c7e6290e1",
@@ -84,6 +102,37 @@ VERIFY_ARGS = {
     "spinorial-7": ["--kind", "spinorial", "--m", "7"],
 }
 
+HARMONIC_DIGESTS = {
+    "conformal-3": "6794b3c98fc99092714d9c0311ffa73c8a0c67f5a882d4fdf2f51e47503402a3",
+    "conformal-4": "8bd8970dbe1be4f31b29548281db0ee59fb63c8015bbcfb82cc5f3961fb22a5c",
+    "conformal-5": "208cdc687827c52f2a5c1da2b17062291998cc0a5b2159b95644a20c039baf93",
+    "conformal-6": "1d94a30cf26f6dcb6a059de1ab0a70b63f4c363c7865c22871ca5e8c6c2e8fdb",
+    "grassmannian-1-1": "39f37f8d1931b3bdf767e7510dd69509fbf23af1f7654933d0a4d291cbdd4418",
+    "grassmannian-1-2": "3b8b08fa123a1e9ab8d05840beb5b16d93381c392e39dddefc9ea08f956452b4",
+    "grassmannian-1-3": "ee2c31518c0180bcb92a3c2c12cb5e3ea877a87f1bdaa87a20b67e71b9c18a8c",
+    "grassmannian-1-4": "3d75e1092d8b40e1b63a52cb35c022b44f14a98768d444b763a1b1ecae3deabe",
+    "grassmannian-2-2": "c9c95cdc196c1add16a13733e20bbdd58426aff50c7c8c6eb3b5be1112132e57",
+    "grassmannian-2-3": "ca58c9ebacc5fbb7acede8767ff8603c14bcdd4462f8dd71960cae9ff63df8d7",
+    "grassmannian-2-4": "70e23f7cd42c7c28d8d6c216586f64c37ac9bfa9d39e8b71bd33186f97ae52cd",
+    "grassmannian-3-3": "9dbe60d0e2fb847d7eb211d579ca26aa2f0e948966cf27ec8fb5e51d17bc9d5e",
+    "grassmannian-3-4": "a631028ce1d7784881865ebad55c16181a353dc96fb214b868a3e2bdda50f046",
+    "grassmannian-4-4": "74b5812664efbcc28dac4ce50a502063c6d907da15395f99b77473e69eea5d61",
+    "projective-2": "a1ea14c1440971d1a9c54bc5909514fb4d8e4cbee3845c7905c2508c9c25f6ff",
+    "projective-3": "16390a2f9f77fee555a9326a89899f744bbf566dc02910eb9207353f60d4a857",
+    "projective-4": "9fc2831d7495afc1d85576b438842df5f59017a9e3319d7469afdf28bfca4b98",
+    "lagrangian-3": "756bb054a7265334f4b5a962c747bda8ec74b0d3f9d91e69fcc2a195e7b0fe17",
+    "lagrangian-4": "e473ac7a064d57a90b9f42e5b0f52ed4782bea9c4258ff39d60edbe212a2cebc",
+    "lagrangian-5": "400b85f124c428bd25fb119dac7b3be8f85a0ba965cb69bd1dc5cd58a1be6e15",
+    "lagrangian-6": "0c4ef890ec08030f7941547d40ab822b07bb13143dd3c342c69be3a1bf2213cc",
+    "spinorial-3": "5005a96c6301e2b92c351302aa301561410d13f9488419802e043f7917b4fe91",
+    "spinorial-4": "e5f06b9811e8482ff90ea23bbbc1d100940eeab4b781920d394d42c5bac5f4df",
+    "spinorial-5": "94b658d5168fc101941444b11df42c2aa51f56f0acdde06f47ff152cbdf71f3d",
+    "spinorial-6": "a3d65958bd8be436683d24f6a0f1dd3cc81417f39188e94d877364478fc6428c",
+}
+
+HARMONIC_PLATFORM = "x86_64 scipy-openblas 0.3.31.188.0"
+PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"}
+
 POINTS = (
     list(GRID)
     + [(kind, {"m": m}) for kind in ("lagrangian", "spinorial") for m in (7, 8)]
@@ -121,3 +170,52 @@ def test_verify_facts_fingerprint(name, tmp_path):
     assert main(["verify", *VERIFY_ARGS[name], "--output", str(out)]) == 0
     text = json.dumps(facts(json.loads(out.read_text())), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_FACTS[name]
+
+
+def harmonic_digest(kind: str, params: dict) -> str:
+    alg = build_algebra(kind, **params)
+    n = alg.dims[0]
+    h = hashlib.sha256()
+    for grade, trace_free in [(-1, False), (0, False)] + [(0, True)] * (kind == "grassmannian"):
+        draw = harmonic_sampler(alg, grade, block_trace_free=trace_free)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            h.update(draw(rng).data.tobytes())
+    rng = np.random.default_rng(37)
+    for grade in (-1, 0):
+        t = rng.uniform(-1.0, 1.0, (n, n, alg.dims[grade + 1]))
+        harm, psi = harmonic_decompose(alg, TwoCochain(grade, t - t.transpose(1, 0, 2)))
+        h.update(harm.data.tobytes())
+        h.update(psi.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def harmonic_digests() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    here = f"{platform.machine()} {blas.get('name')} {blas.get('version')}"
+    if here != HARMONIC_PLATFORM:
+        pytest.skip(f"harmonic digests were recorded under {HARMONIC_PLATFORM}, not {here}")
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        env={**os.environ, **PINNED_BLAS},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_every_grid_point_has_a_harmonic_digest():
+    assert sorted(f"{kind}-{grid_id(params)}" for kind, params in GRID) == sorted(HARMONIC_DIGESTS)
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_harmonic_draws_fingerprint(kind, params, harmonic_digests):
+    name = f"{kind}-{grid_id(params)}"
+    assert harmonic_digests[name] == HARMONIC_DIGESTS[name]
+
+
+if __name__ == "__main__":
+    # run by the harmonic_digests fixture under PINNED_BLAS
+    print(json.dumps({f"{k}-{grid_id(p)}": harmonic_digest(k, p) for k, p in GRID}))

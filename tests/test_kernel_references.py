@@ -6,9 +6,8 @@ unoptimized automorphism contraction, the full-matrix complementarity and
 cohomology ranks, the column-by-column g_0-trace map, the loop-built d and
 d* matrices, the unoptimized d* contraction, the whole-matrix SVD rank, the
 whole-matrix oracle solve, the dense-pinv harmonic sampler, scipy's matrix
-exponential, the 2-d ``np.nonzero`` read of a dense matrix, the
-pair-by-pair matrix-realization cross-check and the harmonic basis taken
-through a dense alternating injection.  Structure constants are
+exponential, the 2-d ``np.nonzero`` read of a dense matrix and the
+pair-by-pair matrix-realization cross-check.  Structure constants are
 dyadic rationals, so wherever the arithmetic is exact the two must agree
 bit for bit; the automorphism residual sums random floats in a new order
 and the exponential is a new algorithm, so those get bounds instead.
@@ -27,11 +26,9 @@ from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id
 from ahsnormal.graded_algebra import (
     CHUNK_ENTRIES,
     _flat_nonzero,
-    _pairs,
     cross_check_matrix_rep,
     jacobi_residual,
     matrix_representation,
-    rank_cutoff,
 )
 from ahsnormal.normalization import (
     NonUniquenessError,
@@ -59,7 +56,7 @@ from ahsnormal.spencer import (
     dstar_triplets,
     spencer_dstar,
 )
-from ahsnormal.testkit import _block_trace_rows, harmonic_basis, harmonic_sampler
+from ahsnormal.testkit import _block_trace_rows, harmonic_sampler
 
 # Grid points small enough for the O(N^5) references; sl(2) is among them.
 REF_GRID = [(k, p) for k, p in GRID if algebra(k, **p).n_total <= 55]
@@ -427,47 +424,6 @@ def test_block_pinv_sampler_matches_dense_pinv(kind, params):
         got = harmonic_sampler(alg, grade, block_trace_free=trace_free)(np.random.default_rng(5))
         ref = ref_harmonic_sampler(alg, grade, block_trace_free=trace_free)(np.random.default_rng(5))
         assert np.abs(got.data - ref.data).max() <= 1e-12
-
-
-def ref_alternating_injection(n: int, nv: int) -> np.ndarray:
-    pairs = _pairs(n, -1)
-    M = np.zeros((n * n * nv, len(pairs) * nv))
-    for t, (a, b) in enumerate(pairs):
-        for k in range(nv):
-            M[(a * n + b) * nv + k, t * nv + k] = 1.0
-            M[(b * n + a) * nv + k, t * nv + k] = -1.0
-    return M
-
-
-def ref_harmonic_basis(alg, grade: int, block_trace_free: bool = False) -> np.ndarray:
-    n = alg.dims[0]
-    nv = _value_dim(alg, grade)
-    alt = ref_alternating_injection(n, nv)
-    rows = [dstar_matrix(alg, grade)]
-    if block_trace_free:
-        rows.append(_block_trace_rows(alg, grade))
-    M = np.vstack(rows) @ alt
-    _, s, vt = np.linalg.svd(M)
-    rank = int((s > rank_cutoff(s.max(initial=0.0))).sum())
-    return alt @ vt[rank:].T
-
-
-# lagrangian m = 5 (N = 55) is left out: its two dense SVDs take 5 s
-@pytest.mark.parametrize(
-    "kind,params", [(k, p) for k, p in SMALL_VERIFY_GRID if algebra(k, **p).n_total < 55], ids=grid_id
-)
-def test_harmonic_basis_matches_dense_injection(kind, params):
-    # each entry of the injected matrix is one difference of two d* entries
-    # (the other products are exact zeros), so the SVD input and its
-    # output agree bit for bit; only the sign of some zeros may differ
-    alg = algebra(kind, **params)
-    for grade, trace_free in ((-1, False), (0, False), (0, True)):
-        if trace_free and kind != "grassmannian":
-            continue
-        got = harmonic_basis(alg, grade, block_trace_free=trace_free)
-        ref = ref_harmonic_basis(alg, grade, block_trace_free=trace_free)
-        assert got.shape == ref.shape
-        np.testing.assert_array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,7 @@ def block_trace_correction(alg) -> np.ndarray:
 
 
 def ranked_operators(alg) -> dict[str, np.ndarray]:
-    """Every matrix whose rank, kernel or pseudo-inverse the package takes.
-
-    ``testkit.harmonic_basis`` ranks twice the alternated d* half (with the
-    block-trace rows on grassmannian points); it is left out, as its dense
-    alternation is too large at N = 78.
-    """
+    """Every matrix whose rank, kernel or pseudo-inverse the package takes."""
     n, n0, n1 = alg.dims
     ops = {}
     for grade in (-1, 0):

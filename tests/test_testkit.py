@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import LARGEST, SMALL, VERIFY_GRID, algebra, grid_id
+from conftest import LARGEST, SMALL, VERIFY_GRID, algebra, grid_id, ref_harmonic_basis
 
 from ahsnormal.normalization import (
     block_trace_g0,
@@ -17,7 +17,6 @@ from ahsnormal.testkit import (
     SampleSpec,
     SYMMETRY_FLAGS,
     brute_force_trace_map,
-    harmonic_basis,
     harmonic_sampler,
     random_curvature,
     random_gamma,
@@ -51,6 +50,14 @@ def test_sample_spec_validation():
         SampleSpec("conformal", {"m": 3}, seed=1, symmetry="hermitian")
     with pytest.raises(ValueError):
         SampleSpec("conformal", {"m": 3}, seed=1, count=0)
+    for seed in (1.5, "7", -1, 2**64, True, None):
+        with pytest.raises(ValueError):
+            SampleSpec("conformal", {"m": 3}, seed=seed)
+    for count in (True, 2.5, "2"):
+        with pytest.raises(ValueError):
+            SampleSpec("conformal", {"m": 3}, seed=1, count=count)
+    spec = SampleSpec("conformal", {"m": 3}, seed=np.uint64(2**64 - 1), count=np.int64(2))
+    assert spec.seed == 2**64 - 1
     assert SYMMETRY_FLAGS == (
         "riemann-symmetric",
         "harmonic",
@@ -140,8 +147,8 @@ def test_harmonic_basis_dimensions_grassmannian():
     # the plain harmonic space at grade 0 carries gl-block-trace data; the
     # joint kernel drops exactly that many dimensions
     alg = algebra("grassmannian", p=2, q=2)
-    plain = harmonic_basis(alg, 0)
-    joint = harmonic_basis(alg, 0, block_trace_free=True)
+    plain = ref_harmonic_basis(alg, 0)
+    joint = ref_harmonic_basis(alg, 0, block_trace_free=True)
     assert plain.shape[1] == 26
     assert joint.shape[1] == 20
     rng = np.random.default_rng(19)
@@ -154,7 +161,7 @@ def test_block_trace_correction_vanishes_where_it_is_rounding_noise():
     # at p = 1 harmonic grade-0 cochains carry no block-trace data: the
     # correction map's largest singular value is 2.8e-16, all of it rounding
     alg = algebra("grassmannian", p=1, q=2)
-    assert harmonic_basis(alg, 0).shape == harmonic_basis(alg, 0, block_trace_free=True).shape
+    assert ref_harmonic_basis(alg, 0).shape == ref_harmonic_basis(alg, 0, block_trace_free=True).shape
     got = harmonic_sampler(alg, 0, block_trace_free=True)(np.random.default_rng(5))
     plain = harmonic_sampler(alg, 0)(np.random.default_rng(5))
     np.testing.assert_array_equal(got.data, plain.data)
@@ -164,14 +171,14 @@ def test_block_trace_free_rejected_off_grassmannian():
     with pytest.raises(ValueError):
         harmonic_sampler(algebra("conformal", m=3), 0, block_trace_free=True)
     with pytest.raises(ValueError):
-        harmonic_basis(algebra("conformal", m=3), 0, block_trace_free=True)
+        ref_harmonic_basis(algebra("conformal", m=3), 0, block_trace_free=True)
 
 
 @pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
 def test_sampler_agrees_with_basis_subspace(kind, params):
     # samples drawn by projection lie in the span of the explicit basis
     alg = algebra(kind, **params)
-    H = harmonic_basis(alg, 0)
+    H = ref_harmonic_basis(alg, 0)
     rng = np.random.default_rng(23)
     h = harmonic_sampler(alg, 0)(rng).data.reshape(-1)
     if H.shape[1] == 0:
