@@ -31,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded_algebra import GradedLieAlgebra, _pair_table, _pairs
-from .spencer import Blocks, OneCochain, Triplets, TwoCochain, _check_two, spencer_d, spencer_dstar
+from .spencer import (Blocks, OneCochain, Triplets, TwoCochain, _check_two, d_triplets,
+                      dstar_triplets, spencer_d, spencer_dstar)
 
 # Fixed thresholds, each relative to max(1, largest entry), of
 # fiber_constancy_check, torsion_is_harmonic and oracle_gamma's solve.
@@ -367,47 +368,23 @@ def curvature_from_riemann(alg: GradedLieAlgebra, R: np.ndarray) -> TwoCochain:
 # ---------------------------------------------------------------------------
 
 
-def trace_map_matrix(alg: GradedLieAlgebra) -> np.ndarray:
-    """Dense matrix of Gamma -> Tr(delta kappa0(Gamma)).
+def trace_map_matrix(alg: GradedLieAlgebra) -> Triplets:
+    """The map Gamma -> Tr(delta kappa0(Gamma)), as triplets.
 
-    Rows are flattened (x, y) trace slots, columns flattened (c, u) slots of
-    g_{-1}^* (x) g_1.  With B = C[g_1, g_{-1}, g_0] and act = C[g_0, g_{-1},
-    g_{-1}], the column of the basis cochain E_cu is, in closed form,
-
-        M[(x, y), (c, u)] = sum_k B[u, x, k] act[k, y, c] - delta_xc w[y, u],
-        w[y, u] = sum_{i, k} B[u, i, k] act[k, y, i].
+    Rows are flattened (x, v) trace slots, columns flattened (c, u) slots of
+    g_{-1}^* (x) g_1, both in C order.  Tr(delta kappa0(Gamma))[x, v] is
+    <z_v, x_v> d*(d Gamma)[x, v], so the map is d* d on grade-1 one-cochains
+    with row (x, v) scaled by the (diagonal) pairing entry of v.
     """
-    n, n0, n1 = alg.dims
-    B = alg.block(1, -1)
-    act = alg.block(0, -1)
-    # one product per x, written straight into (x, (y, c), u) order
-    M = np.matmul(act.reshape(n0, n * n).T, B.transpose(1, 2, 0)).reshape(n, n, n, n1)
-    w = np.einsum("uik,kyi->yu", B, act)
-    diag = np.arange(n)
-    M[diag, :, diag, :] -= w
-    return M.reshape(n * n, n * n1)
-
-
-def trace_g0_map_matrix(alg: GradedLieAlgebra) -> np.ndarray:
-    """Dense matrix of Gamma -> Tr_g0(delta kappa0(Gamma)), same index layout.
-
-    With beta[u, b] = Tr_g0 of [z_u, x_b], the column of E_cu is
-    M[(a, b), (c, u)] = delta_ac beta[u, b] - delta_bc beta[u, a].
-    """
-    n, _, n1 = alg.dims
-    tr_vec = np.einsum("caa->c", alg.block(0, -1))
-    beta = alg.block(1, -1) @ tr_vec
-    M = np.zeros((n, n, n, n1))
-    diag = np.arange(n)
-    M[diag, :, diag, :] += beta.T
-    M[:, diag, diag, :] -= beta.T[:, None, :]
-    return M.reshape(n * n, n * n1)
+    M = dstar_triplets(alg, 0) @ d_triplets(alg, 1)
+    return Triplets(M.rows, M.cols, np.diag(alg.pairing)[M.rows % alg.dims[2]] * M.vals, M.shape)
 
 
 def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor:
     """Solve Tr(delta kappa0(Gamma)) = Tr(kappa0) for Gamma by least squares.
 
-    The trace map is inverted one connected block at a time
+    The trace map (:func:`trace_map_matrix`, the pairing-scaled d* d
+    triplets) is inverted one connected block at a time
     (:meth:`ahsnormal.spencer.Blocks.pinv`), which also gives its kernel
     dimension.  ``ORACLE_RESIDUAL_TOL`` bounds only the solve's residual,
     relative to max(1, max|Tr kappa0|); it plays no part in the kernel count.
@@ -421,7 +398,7 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor
     n, _, n1 = alg.dims
     M = trace_map_matrix(alg)
     # one SVD per block gives both the kernel count and the solve
-    Minv, rank = Blocks.split(Triplets.from_dense(M)).pinv()
+    Minv, rank = Blocks.split(M).pinv()
     kernel_dim = M.shape[1] - rank
     if kernel_dim > 0:
         raise NonUniquenessError(
@@ -439,23 +416,20 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor
 
 
 def uniqueness_certificate(alg: GradedLieAlgebra) -> dict:
-    """Kernel dimensions certifying uniqueness of the normalization.
+    """Kernel dimension of the trace map, certifying uniqueness of the
+    normalization.
 
-    Reports the kernel of the Ricci-type trace map alone and of that map
-    stacked with the g_0-trace map.  Both are zero precisely on the valid
-    parameter ranges; sl(2) has a one-dimensional kernel.
+    ``kernel_dim`` is that of :func:`trace_map_matrix`, ranked block by
+    block; it equals dim H21 and is zero precisely on the valid parameter
+    ranges, while sl(2) has a one-dimensional kernel.
     """
     M = trace_map_matrix(alg)
-    S = np.vstack([M, trace_g0_map_matrix(alg)])
-    k_trace = M.shape[1] - Blocks.split(Triplets.from_dense(M)).rank()
-    k_stacked = S.shape[1] - Blocks.split(Triplets.from_dense(S)).rank()
+    kernel_dim = M.shape[1] - Blocks.split(M).rank()
     return {
         "kind": alg.kind,
         "params": dict(alg.params),
-        "trace_map_kernel_dim": k_trace,
-        "stacked_kernel_dim": k_stacked,
-        "kernel_dim": k_trace,
-        "unique": bool(k_trace == 0),
+        "kernel_dim": kernel_dim,
+        "unique": bool(kernel_dim == 0),
         "normalizable": alg.normalizable,
     }
 
@@ -477,12 +451,13 @@ def fiber_constancy_check(
     the point being modeled; the change may be at most ``FIBER_TOL``.
 
     Raises:
-        ValueError: kappa_m1 is not harmonic, so the statement's hypothesis
-            fails.
+        ValueError: kappa_m1 or kappa0 has the wrong shape or grade, or
+            kappa_m1 is not harmonic, so the statement's hypothesis fails.
     """
-    _check_two(alg, kappa_m1)
-    if kappa_m1.grade != -1:
-        raise ValueError("kappa_m1 must be a grade -1 two-cochain")
+    for name, phi, grade in (("kappa_m1", kappa_m1, -1), ("kappa0", kappa0, 0)):
+        _check_two(alg, phi)
+        if phi.grade != grade:
+            raise ValueError(f"{name} must be a grade {grade} two-cochain")
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if tau.shape != (alg.dims[2],):
         raise ValueError("tau must be a g_1 coordinate vector")

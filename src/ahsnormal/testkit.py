@@ -258,7 +258,7 @@ def brute_force_trace_map(alg: GradedLieAlgebra) -> np.ndarray:
 
     Each column applies :func:`deformation_delta_kappa0` and then
     :func:`trace_kappa0` to one basis cochain E_cu, so it shares no code
-    with the closed-form assembly in
+    with the pairing-scaled d* d assembly in
     :func:`ahsnormal.normalization.trace_map_matrix` and serves as its
     independent oracle.
     """

@@ -3,11 +3,11 @@
 Each reference below is the earlier implementation, kept verbatim: the
 per-basis-vector Jacobi loop and the grade-block Jacobi contraction, the
 unoptimized automorphism contraction, the full-matrix complementarity and
-cohomology ranks, the column-by-column g_0-trace map, the loop-built d and
-d* matrices, the unoptimized d* contraction, the whole-matrix SVD rank, the
-whole-matrix oracle solve, the dense-pinv harmonic sampler, scipy's matrix
-exponential, the 2-d ``np.nonzero`` read of a dense matrix and the
-pair-by-pair matrix-realization cross-check.  Structure constants are
+cohomology ranks, the loop-built d and d* matrices, the unoptimized d*
+contraction, the whole-matrix SVD rank, the whole-matrix oracle solve, the
+dense-pinv harmonic sampler, scipy's matrix exponential, the 2-d
+``np.nonzero`` read of a dense matrix and the pair-by-pair
+matrix-realization cross-check.  Structure constants are
 dyadic rationals, so wherever the arithmetic is exact the two must agree
 bit for bit; the automorphism residual sums random floats in a new order
 and the exponential is a new algorithm, so those get bounds instead.
@@ -32,17 +32,13 @@ from ahsnormal.graded_algebra import (
 )
 from ahsnormal.normalization import (
     NonUniquenessError,
-    deformation_delta_kappa0,
     oracle_gamma,
-    trace_g0,
-    trace_g0_map_matrix,
     trace_kappa0,
     trace_map_matrix,
 )
 from ahsnormal.prolongation_model import FrameChange, automorphism_residual
 from ahsnormal.spencer import (
     Blocks,
-    OneCochain,
     Triplets,
     TwoCochain,
     _pair_cols,
@@ -153,18 +149,6 @@ def ref_cohomology(alg, level, tol=1e-9) -> int:
     return n * n1 - ref_rank(d_matrix(alg, 1), tol)
 
 
-def ref_trace_g0_map(alg) -> np.ndarray:
-    n, _, n1 = alg.dims
-    M = np.zeros((n * n, n * n1))
-    for c in range(n):
-        for u in range(n1):
-            E = np.zeros((n, n1))
-            E[c, u] = 1.0
-            col = trace_g0(alg, deformation_delta_kappa0(alg, OneCochain(1, E)))
-            M[:, c * n1 + u] = col.reshape(-1)
-    return M
-
-
 def sign_flipped(alg):
     """A copy with the first nonzero structure constant negated, as
     ``verify --debug-mutate`` does; antisymmetry and grading survive."""
@@ -228,12 +212,6 @@ def test_h11_refuses_an_ad_image_that_is_not_closed(kind, params):
             cohomology_dim(bad, "H11")
 
 
-@pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)
-def test_trace_g0_map_matches_column_loop(kind, params):
-    alg = algebra(kind, **params)
-    np.testing.assert_array_equal(trace_g0_map_matrix(alg), ref_trace_g0_map(alg))
-
-
 # ---------------------------------------------------------------------------
 # block-by-block Spencer linear algebra
 # ---------------------------------------------------------------------------
@@ -283,7 +261,7 @@ def ref_svd_rank(A: np.ndarray, tol: float, copies: int = 1) -> int:
 
 def ref_oracle(alg, kappa0, tol=1e-9) -> np.ndarray:
     n, _, n1 = alg.dims
-    M = trace_map_matrix(alg)
+    M = trace_map_matrix(alg).dense()
     s = np.linalg.svd(M, compute_uv=False)
     smax = s[0] if s.size else 0.0
     kernel_dim = int((s <= tol * max(smax, 1.0)).sum())
@@ -329,7 +307,7 @@ def ref_harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
 def spencer_operators(alg) -> dict[str, np.ndarray]:
     """Dense d halves, alternated d* halves, d* d and the trace map."""
     n = alg.dims[0]
-    ops = {"trace_map": trace_map_matrix(alg)}
+    ops = {"trace_map": trace_map_matrix(alg).dense()}
     for grade in (-1, 0):
         ops[f"d_half_{grade}"] = _pair_rows(Triplets.from_dense(ref_d_matrix(alg, grade + 1)), n).dense()
         ops[f"dstar_half_{grade}"] = _pair_cols(Triplets.from_dense(ref_dstar_matrix(alg, grade)), n).dense()
@@ -387,7 +365,7 @@ def test_block_rank_matches_whole_matrix_svd(kind, params):
     n, n0, n1 = alg.dims
     M = trace_map_matrix(alg)
     ad = alg.block(1, -1).reshape(n1, n * n0).T
-    ranked = {"trace_map": (Triplets.from_dense(M), M), "ad": (Triplets.from_dense(ad), ad)}
+    ranked = {"trace_map": (M, M.dense()), "ad": (Triplets.from_dense(ad), ad)}
     for grade in (-1, 0):
         nv = alg.dims[grade + 1]
         D = ref_d_matrix(alg, grade + 1)
@@ -541,9 +519,8 @@ def test_flat_nonzero_scan_matches_nonzero_on_operators(kind, params):
     for grade in (-1, 0):
         A = dstar_matrix(alg, grade)
         assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
-    M = trace_map_matrix(alg)
-    for A in (M, np.vstack([M, trace_g0_map_matrix(alg)])):
-        assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
+    A = trace_map_matrix(alg).dense()
+    assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
     got = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
     for a, b in zip(got, np.nonzero(alg.C)):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -30,15 +30,14 @@ from ahsnormal.normalization import (
 )
 from ahsnormal.spencer import (
     OneCochain,
-    Triplets,
     TwoCochain,
     cohomology_dim,
     d_triplets,
-    dstar_triplets,
     spencer_d,
     spencer_dstar,
 )
 from ahsnormal.testkit import (
+    brute_force_trace_map,
     harmonic_sampler,
     random_gamma,
     riemann_projection,
@@ -350,26 +349,20 @@ def test_uniqueness_certificate(kind, params):
         assert not cert["normalizable"]
     else:
         assert cert["kernel_dim"] == 0
-        assert cert["stacked_kernel_dim"] == 0
         assert cert["unique"]
         assert cert["normalizable"]
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_trace_map_is_codifferential_of_differential(kind, params):
-    # Tr(delta kappa0(Gamma))[x, v] = <z_v, x_v> d*(d Gamma)[x, v]: the trace
-    # map is d* d with row (x, v) scaled by the pairing, exactly.  Hence its
-    # kernel is ker d* d = ker d on grade-1 one-cochains, whose dimension is
-    # H21 (im d and ker d* meet only in 0).
+    # The library assembles the trace map as d* d with row (x, v) scaled by
+    # <z_v, x_v>; the column loop applies the curvature shift and the trace
+    # to one basis cochain at a time, sharing no code with that assembly.
+    # The kernel of the map is ker d* d = ker d on grade-1 one-cochains,
+    # whose dimension is H21 (im d and ker d* meet only in 0).
     alg = algebra(kind, **params)
-    n = alg.dims[0]
-    prod = dstar_triplets(alg, 0) @ d_triplets(alg, 1)
-    got = Triplets.from_dense(trace_map_matrix(alg))
-    assert got.shape == prod.shape
-    assert np.array_equal(got.rows, prod.rows) and np.array_equal(got.cols, prod.cols)
-    assert np.array_equal(got.vals, np.diag(alg.pairing)[prod.rows % n] * prod.vals)
-    cert = uniqueness_certificate(alg)
-    assert cert["trace_map_kernel_dim"] == cohomology_dim(alg, "H21")
+    np.testing.assert_array_equal(trace_map_matrix(alg).dense(), brute_force_trace_map(alg))
+    assert uniqueness_certificate(alg)["kernel_dim"] == cohomology_dim(alg, "H21")
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +403,22 @@ def test_fiber_constancy_rejects_non_harmonic_torsion():
     k0 = random_kappa0(alg, rng)
     with pytest.raises(ValueError):
         fiber_constancy_check(alg, k0, km1, rng.uniform(-1.0, 1.0, alg.dims[2]))
+
+
+@pytest.mark.parametrize(
+    "kind,params", [("grassmannian", {"p": 1, "q": 1}), ("conformal", {"m": 3})], ids=grid_id
+)
+def test_fiber_constancy_rejects_kappa0_of_grade_minus_one(kind, params):
+    # at sl(2) n = n0 = n1 = 1, so a grade -1 kappa0 has the shape of a
+    # grade 0 one; only its grade tells them apart
+    alg = algebra(kind, **params)
+    n = alg.dims[0]
+    km1 = TwoCochain(-1, np.zeros((n, n, n)))
+    with pytest.raises(ValueError, match="kappa0 must be a grade 0"):
+        fiber_constancy_check(alg, km1, km1, np.zeros(alg.dims[2]))
+    wide = TwoCochain(0, np.zeros((n, n, alg.dims[1] + 1)))
+    with pytest.raises(ValueError, match="two-cochain shape"):
+        fiber_constancy_check(alg, wide, km1, np.zeros(alg.dims[2]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from conftest import GRID, algebra, grid_id
 
 from ahsnormal.graded_algebra import dense_rank
-from ahsnormal.normalization import trace_g0_map_matrix, trace_map_matrix
+from ahsnormal.normalization import trace_map_matrix
 from ahsnormal.spencer import (
     Blocks,
     Triplets,
@@ -46,11 +46,9 @@ def ranked_operators(alg) -> dict[str, np.ndarray]:
         ops[f"d_half_{grade}"] = _pair_rows(D, n).dense()
         ops[f"dstar_half_{grade}"] = _pair_cols(S, n).dense()
         ops[f"dstar_d_{grade}"] = (S @ D).dense()
-    M = trace_map_matrix(alg)
     sl0 = alg.grade_slice(0)
     ops["ad"] = alg.block(1, -1).reshape(n1, n * n0).T
-    ops["trace_map"] = M
-    ops["stacked_trace_map"] = np.vstack([M, trace_g0_map_matrix(alg)])
+    ops["trace_map"] = trace_map_matrix(alg).dense()
     ops["g0_center_map"] = alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0).T
     ops["g0_action"] = alg.block(0, -1).reshape(n0, n * n).T
     if alg.kind == "grassmannian" and alg.normalizable:
