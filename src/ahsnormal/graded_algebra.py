@@ -130,9 +130,9 @@ class GradedLieAlgebra:
 
         The defining property is ``<z^a, x_b> = delta_ab``, i.e. ``M @ pairing
         = identity``.  The pairing is diagonal in every family, so M is the
-        inverse diagonal.
+        diagonal of exact reciprocals.
         """
-        return np.linalg.inv(self.pairing)
+        return np.diag(1.0 / np.diag(self.pairing))
 
 
 def build_algebra(kind: str, **params) -> GradedLieAlgebra:

@@ -103,8 +103,9 @@ def trace_kappa0(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndarray:
 
 def trace_kappa0_via_dstar(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndarray:
     """Same bilinear form computed through the codifferential and the pairing."""
-    ds = spencer_dstar(alg, kappa0)
-    return ds.data @ alg.pairing
+    if kappa0.grade != 0:
+        raise ValueError("trace_kappa0_via_dstar expects a grade-0 two-cochain")
+    return spencer_dstar(alg, kappa0).data @ alg.pairing
 
 
 def trace_g0(alg: GradedLieAlgebra, phi: TwoCochain) -> np.ndarray:
@@ -467,7 +468,7 @@ def fiber_constancy_check(
             f"kappa_m1 is not harmonic (d* residual {harm['residual']:.3e}); "
             "fiber constancy presupposes a harmonic grade -1 component"
         )
-    shift = np.einsum("u,abk,ukc->abc", tau, kappa_m1.data, alg.block(1, -1))
+    shift = kappa_m1.data @ np.tensordot(tau, alg.block(1, -1), 1)
     moved = TwoCochain(0, kappa0.data - shift)
     d1 = spencer_dstar(alg, moved).data
     d0 = spencer_dstar(alg, kappa0).data

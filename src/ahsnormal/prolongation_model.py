@@ -29,8 +29,10 @@ from .graded_algebra import GradedLieAlgebra
 from .spencer import (
     OneCochain,
     TwoCochain,
+    _ad_g1,
     _check_one,
     _check_two,
+    d_triplets,
     spencer_d,
 )
 
@@ -96,9 +98,6 @@ class FrameChange:
             mats.append(_expm(ad_A))
         return FrameChange(mats[0], mats[1], mats[2], Z)
 
-    def inverse_m1(self) -> np.ndarray:
-        return np.linalg.inv(self.ad_m1)
-
 
 def automorphism_residual(alg: GradedLieAlgebra, fc: FrameChange) -> float:
     """Max violation of Ad(b0)[x, y] = [Ad(b0) x, Ad(b0) y] over the algebra."""
@@ -117,7 +116,7 @@ def group_action_one_cochain(
 ) -> OneCochain:
     """(b0 . psi)(X) = b0(psi(b0^{-1} X)), valued in g_0 or g_1."""
     _check_one(alg, psi)
-    Binv = fc.inverse_m1()
+    Binv = np.linalg.inv(fc.ad_m1)
     Bval = fc.ad_0 if psi.grade == 0 else fc.ad_p1
     data = np.einsum("va,vw,uw->au", Binv, psi.data, Bval)
     return OneCochain(psi.grade, data)
@@ -128,7 +127,7 @@ def group_action_two_cochain(
 ) -> TwoCochain:
     """(b0 . t)(X, Y) = b0(t(b0^{-1} X, b0^{-1} Y))."""
     _check_two(alg, t)
-    Binv = fc.inverse_m1()
+    Binv = np.linalg.inv(fc.ad_m1)
     Bval = fc.ad_m1 if t.grade == -1 else fc.ad_0
     data = np.einsum("ua,vb,uvw,kw->abk", Binv, Binv, t.data, Bval, optimize=True)
     return TwoCochain(t.grade, data)
@@ -152,10 +151,10 @@ def z_drop_residual(alg: GradedLieAlgebra) -> float:
 
     Zero by the Jacobi identity because g_{-1} is abelian; this is the
     algebraic reason the exp(g_1) factor of the structure group acts
-    trivially on torsion.
+    trivially on torsion.  The difference is d of the one-cochain [Z, .]: the
+    product d ad(g_1) that :func:`spencer.cohomology_dim` needs closed for H11.
     """
-    cross = np.einsum("uic,cjk->uijk", alg.block(1, -1), alg.block(0, -1))
-    return float(np.abs(cross - cross.transpose(0, 2, 1, 3)).max())
+    return float(np.abs((d_triplets(alg, 0) @ _ad_g1(alg)).vals).max(initial=0.0))
 
 
 def torsion_equivariance(alg: GradedLieAlgebra, t: TwoCochain, fc: FrameChange) -> TwoCochain:

@@ -1,8 +1,10 @@
-"""Shared test helpers: a cached algebra factory, the parameter grid and
-an explicit basis of the harmonic two-cochains."""
+"""Shared test helpers: a cached algebra factory, the parameter grid,
+broken copies of an algebra and an explicit basis of the harmonic
+two-cochains."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 
 import numpy as np
@@ -66,6 +68,17 @@ def _cached(kind: str, items: tuple) -> object:
 def algebra(kind: str, **params):
     """Cached algebra factory; tests must not mutate the returned object."""
     return _cached(kind, tuple(sorted(params.items())))
+
+
+def z_flips(alg):
+    """Copies of the algebra with one [z, x] bracket (z in g_1, x in g_{-1})
+    sign-flipped, one per nonzero structure constant of that block."""
+    sz, sx = alg.grade_slice(1), alg.grade_slice(-1)
+    for z, x, k in np.argwhere(alg.C[sz, sx] != 0.0):
+        C = alg.C.copy()
+        C[z + sz.start, x, k] *= -1.0
+        C[x, z + sz.start, k] *= -1.0
+        yield dataclasses.replace(alg, C=C)
 
 
 def ref_alternating_injection(n: int, nv: int) -> np.ndarray:

@@ -3,11 +3,11 @@
 Each reference below is the earlier implementation, kept verbatim: the
 per-basis-vector Jacobi loop and the grade-block Jacobi contraction, the
 unoptimized automorphism contraction, the full-matrix complementarity and
-cohomology ranks, the loop-built d and d* matrices, the unoptimized d*
-contraction, the whole-matrix SVD rank, the whole-matrix oracle solve, the
-dense-pinv harmonic sampler, scipy's matrix exponential, the 2-d
-``np.nonzero`` read of a dense matrix and the pair-by-pair
-matrix-realization cross-check.  Structure constants are
+cohomology ranks, the hand-written z_drop contraction, the loop-built d
+and d* matrices, the unoptimized d* contraction, the whole-matrix SVD
+rank, the whole-matrix oracle solve, the dense-pinv harmonic sampler,
+scipy's matrix exponential, the 2-d ``np.nonzero`` read of a dense matrix
+and the pair-by-pair matrix-realization cross-check.  Structure constants are
 dyadic rationals, so wherever the arithmetic is exact the two must agree
 bit for bit; the automorphism residual sums random floats in a new order
 and the exponential is a new algorithm, so those get bounds instead.
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id
+from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id, z_flips
 
 from ahsnormal.graded_algebra import (
     CHUNK_ENTRIES,
@@ -36,7 +36,7 @@ from ahsnormal.normalization import (
     trace_kappa0,
     trace_map_matrix,
 )
-from ahsnormal.prolongation_model import FrameChange, automorphism_residual
+from ahsnormal.prolongation_model import FrameChange, automorphism_residual, z_drop_residual
 from ahsnormal.spencer import (
     Blocks,
     Triplets,
@@ -210,6 +210,37 @@ def test_h11_refuses_an_ad_image_that_is_not_closed(kind, params):
     for bad in (sign_flipped(alg), off):
         with pytest.raises(AssertionError, match="not d-closed"):
             cohomology_dim(bad, "H11")
+
+
+def ref_z_drop(alg) -> float:
+    cross = np.einsum("uic,cjk->uijk", alg.block(1, -1), alg.block(0, -1))
+    return float(np.abs(cross - cross.transpose(0, 2, 1, 3)).max())
+
+
+def nudged(alg):
+    """A copy with the first nonzero structure constant off by 2^-40 of itself."""
+    C = alg.C.copy()
+    i, j, k = np.argwhere(C != 0.0)[0]
+    C[i, j, k] *= 1.0 + 2.0**-40
+    C[j, i, k] *= 1.0 + 2.0**-40
+    return dataclasses.replace(alg, C=C)
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_z_drop_matches_einsum(kind, params):
+    alg = algebra(kind, **params)
+    assert z_drop_residual(alg) == ref_z_drop(alg)
+
+
+@pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
+def test_z_drop_matches_einsum_on_broken_brackets(kind, params):
+    # every [z, x] sign flip and the 2^-40 nudge: d ad(g_1) on triplets sums
+    # the same dyadic terms as the einsum, so the residuals agree bit for bit
+    alg = algebra(kind, **params)
+    broken = [*z_flips(alg), nudged(alg)]
+    got = [z_drop_residual(b) for b in broken]
+    assert got == [ref_z_drop(b) for b in broken]
+    assert max(got) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,18 @@ def test_trace_dual_route(kind, params):
         assert np.abs(direct - via).max() <= 1e-12 * scale
 
 
+@pytest.mark.parametrize(
+    "kind,params", [("grassmannian", {"p": 1, "q": 1}), ("conformal", {"m": 3})], ids=grid_id
+)
+def test_trace_via_dstar_rejects_grade_minus_one(kind, params):
+    # at sl(2) a grade -1 two-cochain has the shape of a grade 0 one
+    alg = algebra(kind, **params)
+    n = alg.dims[0]
+    km1 = TwoCochain(-1, np.ones((n, n, n)))
+    with pytest.raises(ValueError, match="expects a grade-0 two-cochain"):
+        trace_kappa0_via_dstar(alg, km1)
+
+
 def test_trace_of_zero():
     alg = algebra("lagrangian", m=3)
     n, n0, _ = alg.dims

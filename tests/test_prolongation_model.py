@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from conftest import GRID, SMALL, algebra, grid_id
+from conftest import GRID, SMALL, algebra, grid_id, z_flips
 
 from ahsnormal.graded_algebra import faithfulness_ranks, jacobi_residual
 from ahsnormal.prolongation_model import (
@@ -130,17 +128,6 @@ def test_torsion_equivariance_commutes_with_dstar(kind, params):
     rhs = group_action_one_cochain(alg, fc, spencer_dstar(alg, t))
     scale = max(1.0, float(np.abs(lhs.data).max()))
     np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-8 * scale)
-
-
-def z_flips(alg):
-    """Copies of the algebra with one [z, x] bracket (z in g_1, x in g_{-1})
-    sign-flipped, one per nonzero structure constant of that block."""
-    sz, sx = alg.grade_slice(1), alg.grade_slice(-1)
-    for z, x, k in np.argwhere(alg.C[sz, sx] != 0.0):
-        C = alg.C.copy()
-        C[z + sz.start, x, k] *= -1.0
-        C[x, z + sz.start, k] *= -1.0
-        yield dataclasses.replace(alg, C=C)
 
 
 @pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)

@@ -127,10 +127,16 @@ def test_complementarity(kind, params, grade):
 
 
 def test_complementarity_degenerate_case():
-    # sl(2) has a one-dimensional g_{-1}: no alternating two-cochains at all
-    rep = complementarity_check(algebra("grassmannian", p=1, q=1), 0)
-    assert rep["total_dim"] == 0
-    assert rep["complementary"]
+    # sl(2) has a one-dimensional g_{-1}: no alternating two-cochains at all,
+    # so every rank is taken on an empty matrix
+    for grade in (-1, 0):
+        assert complementarity_check(algebra("grassmannian", p=1, q=1), grade) == {
+            "dim_image_d": 0,
+            "dim_kernel_dstar": 0,
+            "intersection_dim": 0,
+            "total_dim": 0,
+            "complementary": True,
+        }
 
 
 EXPECTED_COHOMOLOGY = {
