@@ -188,6 +188,12 @@ def _load_kappa0(alg: GradedLieAlgebra, payload: dict) -> tuple[TwoCochain, dict
         )
     if "params" in payload and not isinstance(payload["params"], dict):
         raise ValueError("input file params must be a JSON object")
+    # build_algebra's integer rule: under == alone, true would match 1 and 3.0 would match 3
+    for name, value in payload.get("params", {}).items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterError(
+                f"input file parameter {name!r} must be an integer, got {value!r}"
+            )
     if "params" in payload and payload["params"] != dict(alg.params):
         raise ValueError(
             f"input file params {payload['params']} do not match flags {alg.params}"

@@ -381,14 +381,51 @@ def trace_map_matrix(alg: GradedLieAlgebra) -> Triplets:
     return Triplets(M.rows, M.cols, np.diag(alg.pairing)[M.rows % alg.dims[2]] * M.vals, M.shape)
 
 
+# Factored trace maps by content key, oldest first.  The bound must stay at
+# least 5, the number of distinct algebras in a stream of normalize calls
+# over the five kinds at one point each: with fewer, which calls rebuild the
+# map would depend on the order the calls arrive in.
+_TRACE_MAP_CACHE: dict[tuple, tuple[Triplets, Blocks, int]] = {}
+_TRACE_MAP_CACHE_SIZE = 8
+
+
+def _trace_map_inverse(alg: GradedLieAlgebra) -> tuple[Triplets, Blocks, int]:
+    """The trace map's triplets, their block pseudo-inverse and the rank.
+
+    Factored once per algebra content: the key holds all that
+    :func:`trace_map_matrix` reads, namely the dims, the pairing diagonal
+    and the nonzero positions and values of C[g_1, g_{-1}] and C[g_1, g_0]
+    (both triplet builders skip zeros of either sign).  An algebra whose
+    structure constants change therefore never gets a stale factorization.
+    The returned arrays are shared and read-only.
+    """
+    key = (tuple(alg.dims), np.diag(alg.pairing).tobytes())
+    for B in (alg.block(1, -1), alg.block(1, 0)):
+        nz = np.flatnonzero(B)
+        key += (nz.tobytes(), B[np.unravel_index(nz, B.shape)].tobytes())
+    hit = _TRACE_MAP_CACHE.get(key)
+    if hit is None:
+        M = trace_map_matrix(alg)
+        Minv, rank = Blocks.split(M).pinv()
+        for array in (M.rows, M.cols, M.vals, *(x for group in Minv.groups for x in group)):
+            array.flags.writeable = False
+        if len(_TRACE_MAP_CACHE) >= _TRACE_MAP_CACHE_SIZE:
+            del _TRACE_MAP_CACHE[next(iter(_TRACE_MAP_CACHE))]
+        hit = _TRACE_MAP_CACHE[key] = (M, Minv, rank)
+    return hit
+
+
 def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor:
     """Solve Tr(delta kappa0(Gamma)) = Tr(kappa0) for Gamma by least squares.
 
     The trace map (:func:`trace_map_matrix`, the pairing-scaled d* d
     triplets) is inverted one connected block at a time
     (:meth:`ahsnormal.spencer.Blocks.pinv`), which also gives its kernel
-    dimension.  ``ORACLE_RESIDUAL_TOL`` bounds only the solve's residual,
-    relative to max(1, max|Tr kappa0|); it plays no part in the kernel count.
+    dimension.  The factorization depends only on the algebra, so it is
+    made once per algebra content and reused by every later solve and by
+    :func:`uniqueness_certificate`; only Tr kappa0 is computed per call.
+    ``ORACLE_RESIDUAL_TOL`` bounds only the solve's residual, relative to
+    max(1, max|Tr kappa0|); it plays no part in the kernel count.
 
     Raises:
         NonUniquenessError: the assembled trace map has a nontrivial kernel
@@ -397,9 +434,7 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor
             trace data is not in the range of the map.
     """
     n, _, n1 = alg.dims
-    M = trace_map_matrix(alg)
-    # one SVD per block gives both the kernel count and the solve
-    Minv, rank = Blocks.split(M).pinv()
+    M, Minv, rank = _trace_map_inverse(alg)
     kernel_dim = M.shape[1] - rank
     if kernel_dim > 0:
         raise NonUniquenessError(
@@ -420,12 +455,13 @@ def uniqueness_certificate(alg: GradedLieAlgebra) -> dict:
     """Kernel dimension of the trace map, certifying uniqueness of the
     normalization.
 
-    ``kernel_dim`` is that of :func:`trace_map_matrix`, ranked block by
-    block; it equals dim H21 and is zero precisely on the valid parameter
-    ranges, while sl(2) has a one-dimensional kernel.
+    ``kernel_dim`` is that of :func:`trace_map_matrix`, counted from the
+    same per-block SVD that :func:`oracle_gamma` solves with (and shares
+    with it per algebra); it equals dim H21 and is zero precisely on the
+    valid parameter ranges, while sl(2) has a one-dimensional kernel.
     """
-    M = trace_map_matrix(alg)
-    kernel_dim = M.shape[1] - Blocks.split(M).rank()
+    M, _, rank = _trace_map_inverse(alg)
+    kernel_dim = M.shape[1] - rank
     return {
         "kind": alg.kind,
         "params": dict(alg.params),

@@ -1,6 +1,6 @@
-"""Shared test helpers: a cached algebra factory, the parameter grid,
-broken copies of an algebra and an explicit basis of the harmonic
-two-cochains."""
+"""Shared test helpers: a cached algebra factory, the parameter grid, a
+recorder of trace-map builds, broken copies of an algebra and an explicit
+basis of the harmonic two-cochains."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import dataclasses
 import functools
 
 import numpy as np
+import pytest
 
-from ahsnormal import build_algebra
+from ahsnormal import build_algebra, normalization
 from ahsnormal.graded_algebra import _pairs, rank_cutoff
 from ahsnormal.spencer import _value_dim, dstar_matrix
 from ahsnormal.testkit import _block_trace_rows
@@ -68,6 +69,22 @@ def _cached(kind: str, items: tuple) -> object:
 def algebra(kind: str, **params):
     """Cached algebra factory; tests must not mutate the returned object."""
     return _cached(kind, tuple(sorted(params.items())))
+
+
+@pytest.fixture
+def trace_map_builds(monkeypatch):
+    """Empty the trace map's factorization cache, then list the algebra of
+    every ``normalization.trace_map_matrix`` call."""
+    builds = []
+    real = normalization.trace_map_matrix
+
+    def counting(alg):
+        builds.append(alg)
+        return real(alg)
+
+    monkeypatch.setattr(normalization, "trace_map_matrix", counting)
+    normalization._TRACE_MAP_CACHE.clear()
+    return builds
 
 
 def z_flips(alg):

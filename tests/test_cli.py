@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import algebra
+from conftest import VERIFY_GRID, algebra
 
 from ahsnormal.cli import (
     EXIT_INVARIANT,
@@ -198,6 +198,40 @@ def test_normalize_rejects_params_that_are_not_an_object(tmp_path, capsys, param
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "params" in err
+
+
+@pytest.mark.parametrize(
+    "kind,flags,params,bad",
+    [
+        ("grassmannian", ["--p", "1", "--q", "2"], {"p": True, "q": 2}, "'p'"),
+        ("conformal", ["--m", "3"], {"m": 3.0}, "'m'"),
+    ],
+    ids=["true-for-1", "float-3.0"],
+)
+def test_normalize_rejects_non_integer_file_params(tmp_path, capsys, kind, flags, params, bad):
+    # JSON true == 1 and 3.0 == 3, but build_algebra refuses both as parameters
+    n, n0, _ = algebra(kind, **{k: int(v) for k, v in params.items()}).dims
+    src = tmp_path / "k0.json"
+    src.write_text(json.dumps({"params": params, "kappa0": np.zeros((n, n, n0)).tolist()}))
+    assert main(["normalize", "--kind", kind, *flags, "--input", str(src)]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"parameter {bad} must be an integer" in err
+
+
+def test_normalize_factors_the_trace_map_once_per_algebra(trace_map_builds, tmp_path):
+    from ahsnormal.testkit import round_trip_sample
+
+    _, k0 = round_trip_sample(algebra("lagrangian", m=3), np.random.default_rng(0))
+    src = tmp_path / "planted.json"
+    src.write_text(json.dumps({"kappa0": k0.data.tolist()}))
+    argv = ["normalize", "--kind", "lagrangian", "--m", "3", "--input", str(src)]
+    reports = [run_to_file(tmp_path, f"g{i}.json", argv) for i in range(20)]
+    assert [alg.kind for alg in trace_map_builds] == ["lagrangian"]
+    assert all(code == EXIT_OK for code, _, _ in reports)
+    cold = reports[0][2].read_bytes()
+    assert all(out.read_bytes() == cold for _, _, out in reports)
 
 
 def test_unwritable_output_exits_validation(tmp_path, capsys, monkeypatch):
@@ -422,6 +456,16 @@ def test_verify_calls_automorphism_once_per_point(monkeypatch, tmp_path):
     assert code == EXIT_OK
     assert calls == [(p["kind"], p["params"]) for p in rep["points"]]
     assert len(calls) == 3
+
+
+def test_verify_builds_the_trace_map_once_per_point(trace_map_builds, tmp_path):
+    # the uniqueness certificate, the oracle solves and the degenerate
+    # detection at sl(2) share one factorization per point
+    code, rep, _ = run_to_file(tmp_path, "v.json", ["verify", "--samples", "1"])
+    assert code == EXIT_OK
+    builds = [(alg.kind, alg.params) for alg in trace_map_builds]
+    assert builds == [(p["kind"], p["params"]) for p in rep["points"]]
+    assert builds == [(k, p) for k, p in VERIFY_GRID]
 
 
 def test_verify_byte_identical_reruns(tmp_path):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import GRID, SMALL, algebra, grid_id
 
+from ahsnormal import normalization
 from ahsnormal.graded_algebra import _pairs
 from ahsnormal.normalization import (
     NonUniquenessError,
@@ -29,6 +32,7 @@ from ahsnormal.normalization import (
     uniqueness_certificate,
 )
 from ahsnormal.spencer import (
+    Blocks,
     OneCochain,
     TwoCochain,
     cohomology_dim,
@@ -354,9 +358,14 @@ def test_oracle_raises_on_sl2():
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_uniqueness_certificate(kind, params):
-    cert = uniqueness_certificate(algebra(kind, **params))
+    alg = algebra(kind, **params)
+    cert = uniqueness_certificate(alg)
+    # the kernel count from the shared factorization against a rank of its own
+    M = trace_map_matrix(alg)
+    ref_kernel_dim = M.shape[1] - Blocks.split(M).rank()
+    assert cert["kernel_dim"] == ref_kernel_dim
     if kind == "grassmannian" and params == {"p": 1, "q": 1}:
-        assert cert["kernel_dim"] > 0
+        assert cert["kernel_dim"] == 1
         assert not cert["unique"]
         assert not cert["normalizable"]
     else:
@@ -375,6 +384,78 @@ def test_trace_map_is_codifferential_of_differential(kind, params):
     alg = algebra(kind, **params)
     np.testing.assert_array_equal(trace_map_matrix(alg).dense(), brute_force_trace_map(alg))
     assert uniqueness_certificate(alg)["kernel_dim"] == cohomology_dim(alg, "H21")
+
+
+# ---------------------------------------------------------------------------
+# the factorization cache of the trace map
+# ---------------------------------------------------------------------------
+
+
+def _solve(alg, k0):
+    """The oracle's answer as bytes, or the kernel dimension it refuses with."""
+    try:
+        return oracle_gamma(alg, k0).gamma.data.tobytes()
+    except NonUniquenessError as err:
+        return err.kernel_dim
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_trace_map_cache_changes_no_answer(kind, params, trace_map_builds):
+    alg = algebra(kind, **params)
+    k0 = random_kappa0(alg, np.random.default_rng(1501))
+    _solve(alg, k0)
+    warm = _solve(alg, k0)
+    warm_kernel = uniqueness_certificate(alg)["kernel_dim"]
+    assert len(trace_map_builds) == 1
+    normalization._TRACE_MAP_CACHE.clear()
+    assert _solve(alg, k0) == warm
+    assert len(trace_map_builds) == 2
+    if alg.normalizable:
+        assert warm_kernel == 0
+    else:  # sl(2): the certificate and the refusal count the same kernel
+        assert warm == warm_kernel == 1
+
+
+def _bumped(alg, gx, gy):
+    """A copy with the first nonzero of C[g_gx, g_gy] moved by 2^-40."""
+    C = alg.C.copy()
+    sx, sy, sz = alg.grade_slice(gx), alg.grade_slice(gy), alg.grade_slice(gx + gy)
+    x, y, z = np.argwhere(alg.block(gx, gy) != 0.0)[0]
+    C[x + sx.start, y + sy.start, z + sz.start] += 2.0**-40
+    return dataclasses.replace(alg, C=C)
+
+
+def test_trace_map_cache_keys_on_content(trace_map_builds):
+    alg = algebra("grassmannian", p=2, q=3)
+    k0 = random_kappa0(alg, np.random.default_rng(1502))
+    pairing = alg.pairing.copy()
+    pairing[1, 1] += 2.0**-40
+    copies = [_bumped(alg, 1, -1), _bumped(alg, 1, 0), dataclasses.replace(alg, pairing=pairing)]
+    _solve(alg, k0)
+    for changed in copies:
+        first = _solve(changed, k0)  # alg and the earlier copies are cached
+        assert trace_map_builds[-1] is changed
+        assert first != _solve(alg, k0)
+        normalization._TRACE_MAP_CACHE.clear()
+        assert _solve(changed, k0) == first
+        _solve(alg, k0)
+    assert len(trace_map_builds) == 1 + 3 * 3
+
+
+def test_trace_map_cache_is_bounded(trace_map_builds):
+    # at least the five kinds of a normalize stream fit, so its builds do not
+    # depend on the order of its requests
+    bound = normalization._TRACE_MAP_CACHE_SIZE
+    assert bound >= 5
+    algs = [algebra(kind, **params) for kind, params in GRID[: bound + 2]]
+    for alg in algs:
+        uniqueness_certificate(alg)
+    assert len(normalization._TRACE_MAP_CACHE) == bound
+    uniqueness_certificate(algs[-1])  # newest kept
+    assert len(trace_map_builds) == bound + 2
+    uniqueness_certificate(algs[0])  # oldest evicted first
+    assert trace_map_builds[-1] is algs[0]
+    assert len(normalization._TRACE_MAP_CACHE) == bound
 
 
 # ---------------------------------------------------------------------------
