@@ -75,13 +75,9 @@ EQUIVARIANCE_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _build_from_args(args: argparse.Namespace) -> GradedLieAlgebra:
-    params = {}
-    for name in ("p", "q", "m"):
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
-    return build_algebra(args.kind, **params)
+def _point(args: argparse.Namespace) -> dict:
+    """The structure parameters given by --p, --q and --m."""
+    return {k: getattr(args, k) for k in ("p", "q", "m") if getattr(args, k, None) is not None}
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -106,11 +102,7 @@ def _check_output(output: str | None) -> None:
 
 def _grid(args: argparse.Namespace) -> list[tuple[str, dict]]:
     """Deterministic parameter grid; flags narrow it to one kind or point."""
-    explicit = {
-        name: getattr(args, name)
-        for name in ("p", "q", "m")
-        if getattr(args, name, None) is not None
-    }
+    explicit = _point(args)
     if explicit and not args.kind:
         flags = ", ".join(f"--{name}" for name in explicit)
         raise ParameterError(f"{flags} name one grid point and need --kind as well")
@@ -139,7 +131,7 @@ def _grid(args: argparse.Namespace) -> list[tuple[str, dict]]:
 
 
 def cmd_algebra_info(args: argparse.Namespace) -> tuple[dict, int]:
-    alg = _build_from_args(args)
+    alg = build_algebra(args.kind, **_point(args))
     n, n0, n1 = alg.dims
     nnz = int(np.count_nonzero(alg.C))
     check = cross_check_matrix_rep(alg)
@@ -163,7 +155,7 @@ def cmd_algebra_info(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_cohomology(args: argparse.Namespace) -> tuple[dict, int]:
-    alg = _build_from_args(args)
+    alg = build_algebra(args.kind, **_point(args))
     report = {
         "kind": alg.kind,
         "params": dict(alg.params),
@@ -188,7 +180,7 @@ def _load_kappa0(alg: GradedLieAlgebra, payload: dict) -> tuple[TwoCochain, dict
         )
     if "params" in payload and not isinstance(payload["params"], dict):
         raise ValueError("input file params must be a JSON object")
-    # build_algebra's integer rule: under == alone, true would match 1 and 3.0 would match 3
+    # build_algebra's integer rule (true == 1, 3.0 == 3), copied: perfbench traces cli's imports
     for name, value in payload.get("params", {}).items():
         if not isinstance(value, int) or isinstance(value, bool):
             raise ParameterError(
@@ -240,7 +232,7 @@ def _check_tolerance(tol: float) -> None:
 
 def cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
     _check_tolerance(args.tolerance)
-    alg = _build_from_args(args)
+    alg = build_algebra(args.kind, **_point(args))
     with open(args.input, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -520,6 +512,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         # json.load of input nested deeper than the interpreter's stack allows
         sys.stderr.write("error: input nested too deeply\n")
+        return EXIT_VALIDATION
+    except MemoryError:
+        sys.stderr.write("error: the requested point exceeds the memory available\n")
         return EXIT_VALIDATION
     except (ParameterError, ValueError, OverflowError, OSError, json.JSONDecodeError) as err:
         sys.stderr.write(f"error: {err}\n")

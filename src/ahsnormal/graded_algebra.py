@@ -185,9 +185,14 @@ def _want_int(params: dict, name: str, kind: str) -> int:
     if name not in params:
         raise ParameterError(f"structure kind {kind!r} requires parameter {name!r}")
     value = params[name]
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+    if not _is_int(value):
         raise ParameterError(f"parameter {name!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _is_int(value) -> bool:
+    """The integer rule of library inputs: an int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _pairs(m: int, eps: int) -> list[tuple[int, int]]:

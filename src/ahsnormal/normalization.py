@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded_algebra import GradedLieAlgebra, _pair_table, _pairs
-from .spencer import (Blocks, OneCochain, Triplets, TwoCochain, _check_two, d_triplets,
-                      dstar_triplets, spencer_d, spencer_dstar)
+from .spencer import (Blocks, OneCochain, Triplets, TwoCochain, _check_one, _check_two,
+                      d_triplets, dstar_triplets, spencer_d, spencer_dstar)
 
 # Fixed thresholds, each relative to max(1, largest entry), of
 # fiber_constancy_check, torsion_is_harmonic and oracle_gamma's solve.
@@ -94,28 +94,21 @@ def trace_kappa0(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndarray:
     codifferential, so the identity ``Tr k = <d* k, .>`` is a genuine
     cross-check between the two.
     """
-    _check_two(alg, kappa0)
-    if kappa0.grade != 0:
-        raise ValueError("trace_kappa0 expects a grade-0 two-cochain")
+    _check_two(alg, kappa0, 0, "kappa0")
     act = alg.block(0, -1)
     return np.einsum("iac,cbi->ab", kappa0.data, act)
 
 
 def trace_kappa0_via_dstar(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndarray:
     """Same bilinear form computed through the codifferential and the pairing."""
-    if kappa0.grade != 0:
-        raise ValueError("trace_kappa0_via_dstar expects a grade-0 two-cochain")
+    _check_two(alg, kappa0, 0, "kappa0")
     return spencer_dstar(alg, kappa0).data @ alg.pairing
 
 
 def trace_g0(alg: GradedLieAlgebra, phi: TwoCochain) -> np.ndarray:
     """g_0-trace data: (Tr_g0 phi)(X, Y) = tr(ad(phi(X, Y))|g_{-1})."""
-    _check_two(alg, phi)
-    if phi.grade != 0:
-        raise ValueError("trace_g0 expects a grade-0 two-cochain")
-    act = alg.block(0, -1)
-    tr_vec = np.einsum("caa->c", act)
-    return np.einsum("abc,c->ab", phi.data, tr_vec)
+    _check_two(alg, phi, 0, "phi")
+    return _g0_trace(phi, alg.block(0, -1))
 
 
 def block_trace_g0(alg: GradedLieAlgebra, phi: TwoCochain, block: str = "D") -> np.ndarray:
@@ -125,14 +118,15 @@ def block_trace_g0(alg: GradedLieAlgebra, phi: TwoCochain, block: str = "D") -> 
     the gl(q) block ("D"); the two determine each other because the values
     are trace-free overall.
     """
-    _check_two(alg, phi)
-    if phi.grade != 0:
-        raise ValueError("block_trace_g0 expects a grade-0 two-cochain")
+    _check_two(alg, phi, 0, "phi")
     if block not in alg.g0_blocks:
         raise ValueError(f"algebra kind {alg.kind!r} has no {block!r} block")
-    mats = alg.g0_blocks[block]
-    tr_vec = np.einsum("caa->c", mats)
-    return np.einsum("abc,c->ab", phi.data, tr_vec)
+    return _g0_trace(phi, alg.g0_blocks[block])
+
+
+def _g0_trace(phi: TwoCochain, mats: np.ndarray) -> np.ndarray:
+    """(X, Y) -> sum_c phi(X, Y)_c tr(mats_c) for g_0 basis matrices mats_c."""
+    return np.einsum("abc,c->ab", phi.data, np.einsum("caa->c", mats))
 
 
 # ---------------------------------------------------------------------------
@@ -147,19 +141,14 @@ def deformation_delta_kappa0(alg: GradedLieAlgebra, gamma: OneCochain) -> TwoCoc
     one-cochain, so it is :func:`ahsnormal.spencer.spencer_d` after the
     checks that Gamma is a deformation tensor of this algebra.
     """
-    if gamma.grade != 1:
-        raise ValueError("the deformation tensor is a grade-1 one-cochain")
-    n = alg.dims[0]
-    if gamma.data.shape != (n, alg.dims[2]):
-        raise ValueError("deformation tensor shape does not match algebra")
+    _check_one(alg, gamma, 1, "gamma")
     return spencer_d(alg, gamma)
 
 
 def torsion_is_harmonic(alg: GradedLieAlgebra, torsion: TwoCochain) -> dict:
     """Check d*(torsion) = 0, the grade -1 half of the normalization condition,
     up to ``FIBER_HARMONIC_TOL`` relative to max(1, max|torsion|)."""
-    if torsion.grade != -1:
-        raise ValueError("torsion lives in grade -1")
+    _check_two(alg, torsion, -1, "torsion")
     res = spencer_dstar(alg, torsion)
     scale = max(1.0, float(np.abs(torsion.data).max()))
     residual = float(np.abs(res.data).max())
@@ -491,10 +480,8 @@ def fiber_constancy_check(
         ValueError: kappa_m1 or kappa0 has the wrong shape or grade, or
             kappa_m1 is not harmonic, so the statement's hypothesis fails.
     """
-    for name, phi, grade in (("kappa_m1", kappa_m1, -1), ("kappa0", kappa0, 0)):
-        _check_two(alg, phi)
-        if phi.grade != grade:
-            raise ValueError(f"{name} must be a grade {grade} two-cochain")
+    _check_two(alg, kappa_m1, -1, "kappa_m1")
+    _check_two(alg, kappa0, 0, "kappa0")
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if tau.shape != (alg.dims[2],):
         raise ValueError("tau must be a g_1 coordinate vector")

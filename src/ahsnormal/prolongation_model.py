@@ -139,10 +139,8 @@ def torsion_change(alg: GradedLieAlgebra, t: TwoCochain, psi: OneCochain) -> Two
     The harmonic part of the torsion (its structure-function class) is
     unchanged because the shift lies in the image of the differential.
     """
-    if t.grade != -1 or psi.grade != 0:
-        raise ValueError("torsion is a grade -1 two-cochain, psi a grade-0 one-cochain")
-    _check_two(alg, t)
-    _check_one(alg, psi)
+    _check_two(alg, t, -1, "t")
+    _check_one(alg, psi, 0, "psi")
     return TwoCochain(-1, t.data - spencer_d(alg, psi).data)
 
 
@@ -164,9 +162,7 @@ def torsion_equivariance(alg: GradedLieAlgebra, t: TwoCochain, fc: FrameChange) 
     cancellation exactly, as :func:`z_drop_residual` == 0.0, and raises if
     the algebra violates it (it cannot, for a Jacobi-exact structure tensor).
     """
-    if t.grade != -1:
-        raise ValueError("torsion is a grade -1 two-cochain")
-    _check_two(alg, t)
+    _check_two(alg, t, -1, "t")
     drop = z_drop_residual(alg)
     if drop != 0.0:
         raise RuntimeError(
@@ -192,14 +188,10 @@ def model_second_torsion(
     N2 = n + n0
     full = -alg.C[:N2, :N2, :N2].copy()
     if torsion is not None:
-        _check_two(alg, torsion)
-        if torsion.grade != -1:
-            raise ValueError("torsion must be a grade -1 two-cochain")
+        _check_two(alg, torsion, -1, "torsion")
         full[:n, :n, :n] += torsion.data
     if curv0 is not None:
-        _check_two(alg, curv0)
-        if curv0.grade != 0:
-            raise ValueError("curv0 must be a grade-0 two-cochain")
+        _check_two(alg, curv0, 0, "curv0")
         full[:n, :n, n:] += curv0.data
     return full
 
@@ -268,9 +260,7 @@ def flat_structure_function(
     """
     S = alg.C.copy()
     if kappa0 is not None:
-        _check_two(alg, kappa0)
-        if kappa0.grade != 0:
-            raise ValueError("kappa0 must be a grade-0 two-cochain")
+        _check_two(alg, kappa0, 0, "kappa0")
         n = alg.dims[0]
         S[:n, :n, alg.grade_slice(0)] += kappa0.data
     return S

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _flat_nonzero, rank_cutoff
+from .graded_algebra import GradedLieAlgebra, _flat_nonzero, _pair_table, rank_cutoff
 
 ONE_COCHAIN_GRADES = (0, 1)
 TWO_COCHAIN_GRADES = (-1, 0)
@@ -71,7 +71,10 @@ def _value_dim(alg: GradedLieAlgebra, grade: int) -> int:
     return alg.dims[grade + 1]
 
 
-def _check_one(alg: GradedLieAlgebra, psi: OneCochain) -> None:
+def _check_one(alg: GradedLieAlgebra, psi: OneCochain, grade=None, name="psi") -> None:
+    """Refuse psi unless it fits the algebra and, if ``grade`` is given, has that grade."""
+    if grade is not None and psi.grade != grade:
+        raise ValueError(f"{name} must be a grade {grade} one-cochain")
     n = alg.dims[0]
     if psi.data.shape != (n, _value_dim(alg, psi.grade)):
         raise ValueError(
@@ -80,7 +83,10 @@ def _check_one(alg: GradedLieAlgebra, psi: OneCochain) -> None:
         )
 
 
-def _check_two(alg: GradedLieAlgebra, phi: TwoCochain) -> None:
+def _check_two(alg: GradedLieAlgebra, phi: TwoCochain, grade=None, name="phi") -> None:
+    """Refuse phi unless it fits the algebra and, if ``grade`` is given, has that grade."""
+    if grade is not None and phi.grade != grade:
+        raise ValueError(f"{name} must be a grade {grade} two-cochain")
     n = alg.dims[0]
     if phi.data.shape != (n, n, _value_dim(alg, phi.grade)):
         raise ValueError(
@@ -339,12 +345,6 @@ def dstar_matrix(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
     return dstar_triplets(alg, two_grade).dense()
 
 
-def _pair_slots(n: int, nv: int, a: np.ndarray, b: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Flattened (a < b, k) slot of the pair (min(a, b), max(a, b))."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return (lo * (2 * n - lo - 1) // 2 + hi - lo - 1) * nv + k
-
-
 def _pair_rows(D: Triplets, n: int) -> Triplets:
     """Rows a < b of a differential.
 
@@ -353,9 +353,10 @@ def _pair_rows(D: Triplets, n: int) -> Triplets:
     """
     nv = D.shape[0] // (n * n)
     a, b, k = np.unravel_index(D.rows, (n, n, nv))
+    slot, _ = _pair_table(n, -1)
     keep = a < b
     return Triplets(
-        _pair_slots(n, nv, a[keep], b[keep], k[keep]),
+        slot[a[keep], b[keep]] * nv + k[keep],
         D.cols[keep],
         D.vals[keep],
         (n * (n - 1) // 2 * nv, D.shape[1]),
@@ -371,11 +372,12 @@ def _pair_cols(S: Triplets, n: int) -> Triplets:
     """
     nv = S.shape[1] // (n * n)
     a, b, k = np.unravel_index(S.cols, (n, n, nv))
+    slot, sign = _pair_table(n, -1)
     keep = a != b
     return Triplets.summed(
         S.rows[keep],
-        _pair_slots(n, nv, a[keep], b[keep], k[keep]),
-        np.where(a < b, 0.5, -0.5)[keep] * S.vals[keep],
+        slot[a, b][keep] * nv + k[keep],
+        0.5 * sign[a, b][keep] * S.vals[keep],
         (S.shape[0], n * (n - 1) // 2 * nv),
     )
 

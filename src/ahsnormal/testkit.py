@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _pairs, build_algebra, rank_cutoff
+from .graded_algebra import GradedLieAlgebra, _is_int, _pairs, build_algebra, rank_cutoff
 from .normalization import (
     CurvatureData,
     _pair_coefficients,
@@ -62,10 +62,6 @@ class SampleSpec:
             )
         if not _is_int(self.count) or self.count < 1:
             raise ValueError(f"count must be a positive integer, got {self.count!r}")
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from conftest import VERIFY_GRID, algebra
 
+from ahsnormal import spencer
 from ahsnormal.cli import (
     EXIT_INVARIANT,
     EXIT_NONUNIQUE,
@@ -278,6 +279,19 @@ def test_normalize_rejects_deeply_nested_input(tmp_path, capsys):
     assert main(argv + ["--output", str(out)]) == EXIT_VALIDATION
     assert not out.exists()
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_point_beyond_memory_exits_validation(monkeypatch, capsys):
+    # lagrangian m = 12 passes MAX_DIM, but its dense d needs about 40 GiB
+    def refuse(*_):
+        raise MemoryError
+
+    monkeypatch.setattr(spencer, "d_matrix", refuse)
+    assert main(["cohomology", "--kind", "projective", "--q", "2"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_normalize_rejects_non_finite_curvature(tmp_path):
     alg = algebra("projective", q=2)

@@ -31,6 +31,13 @@ from ahsnormal.normalization import (
     trace_map_matrix,
     uniqueness_certificate,
 )
+from ahsnormal.prolongation_model import (
+    FrameChange,
+    flat_structure_function,
+    model_second_torsion,
+    torsion_change,
+    torsion_equivariance,
+)
 from ahsnormal.spencer import (
     Blocks,
     OneCochain,
@@ -78,16 +85,52 @@ def test_trace_dual_route(kind, params):
         assert np.abs(direct - via).max() <= 1e-12 * scale
 
 
+def cochain(alg, cls, grade, value=0.0):
+    """A constant one- or two-cochain of the given grade, shaped for it."""
+    shape = (alg.dims[0],) * (1 if cls is OneCochain else 2)
+    return cls(grade, np.full(shape + (alg.dims[grade + 1],), value))
+
+
+# (function, argument, cochain type, its required grade, call with that argument)
+GRADE_REFUSALS = [
+    ("trace_kappa0", "kappa0", TwoCochain, 0, trace_kappa0),
+    ("trace_kappa0_via_dstar", "kappa0", TwoCochain, 0, trace_kappa0_via_dstar),
+    ("trace_g0", "phi", TwoCochain, 0, trace_g0),
+    ("block_trace_g0", "phi", TwoCochain, 0, block_trace_g0),
+    ("deformation_delta_kappa0", "gamma", OneCochain, 1, deformation_delta_kappa0),
+    ("torsion_is_harmonic", "torsion", TwoCochain, -1, torsion_is_harmonic),
+    ("fiber_constancy_check", "kappa0", TwoCochain, 0, lambda alg, c: fiber_constancy_check(
+        alg, c, cochain(alg, TwoCochain, -1), np.zeros(alg.dims[2]))),
+    ("fiber_constancy_check", "kappa_m1", TwoCochain, -1, lambda alg, c: fiber_constancy_check(
+        alg, cochain(alg, TwoCochain, 0), c, np.zeros(alg.dims[2]))),
+    ("torsion_change", "t", TwoCochain, -1,
+     lambda alg, c: torsion_change(alg, c, cochain(alg, OneCochain, 0))),
+    ("torsion_change", "psi", OneCochain, 0,
+     lambda alg, c: torsion_change(alg, cochain(alg, TwoCochain, -1), c)),
+    ("torsion_equivariance", "t", TwoCochain, -1,
+     lambda alg, c: torsion_equivariance(alg, c, FrameChange.identity(alg))),
+    ("model_second_torsion", "torsion", TwoCochain, -1,
+     lambda alg, c: model_second_torsion(alg, torsion=c)),
+    ("model_second_torsion", "curv0", TwoCochain, 0,
+     lambda alg, c: model_second_torsion(alg, curv0=c)),
+    ("flat_structure_function", "kappa0", TwoCochain, 0, flat_structure_function),
+]
+
+
 @pytest.mark.parametrize(
     "kind,params", [("grassmannian", {"p": 1, "q": 1}), ("conformal", {"m": 3})], ids=grid_id
 )
-def test_trace_via_dstar_rejects_grade_minus_one(kind, params):
-    # at sl(2) a grade -1 two-cochain has the shape of a grade 0 one
+@pytest.mark.parametrize(
+    "function,arg,cls,grade,call", GRADE_REFUSALS, ids=[f"{f}-{a}" for f, a, *_ in GRADE_REFUSALS]
+)
+def test_fixed_grade_refusals(kind, params, function, arg, cls, grade, call):
+    # the argument has the other grade and the shape of that grade; at sl(2)
+    # n = n0 = n1 = 1, so that is also the shape of the required grade and
+    # only the grade check can refuse it
     alg = algebra(kind, **params)
-    n = alg.dims[0]
-    km1 = TwoCochain(-1, np.ones((n, n, n)))
-    with pytest.raises(ValueError, match="expects a grade-0 two-cochain"):
-        trace_kappa0_via_dstar(alg, km1)
+    other = {-1: 0, 0: -1} if cls is TwoCochain else {0: 1, 1: 0}
+    with pytest.raises(ValueError, match=f"^{arg} must be a grade {grade} "):
+        call(alg, cochain(alg, cls, other[grade], 1.0))
 
 
 def test_trace_of_zero():
