@@ -18,6 +18,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import graded_algebra
 from .graded_algebra import (
     KINDS,
     GradedLieAlgebra,
@@ -180,9 +181,8 @@ def _load_kappa0(alg: GradedLieAlgebra, payload: dict) -> tuple[TwoCochain, dict
         )
     if "params" in payload and not isinstance(payload["params"], dict):
         raise ValueError("input file params must be a JSON object")
-    # build_algebra's integer rule (true == 1, 3.0 == 3), copied: perfbench traces cli's imports
     for name, value in payload.get("params", {}).items():
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not graded_algebra._is_int(value):
             raise ParameterError(
                 f"input file parameter {name!r} must be an integer, got {value!r}"
             )
@@ -408,8 +408,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     for idx, (kind, params) in enumerate(points):
         alg = build_algebra(kind, **params)
         if args.debug_mutate:
-            nz = np.argwhere(alg.C != 0.0)
-            i, j, k = (int(v) for v in nz[0])
+            i, j, k = np.unravel_index(graded_algebra._flat_nonzero(alg.C)[0], alg.C.shape)
             alg.C[i, j, k] *= -1.0
             alg.C[j, i, k] *= -1.0
         rng = np.random.default_rng([args.seed, idx])

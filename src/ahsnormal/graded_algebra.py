@@ -509,23 +509,8 @@ def _build_pair(m: int, eps: int) -> GradedLieAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# generic structural diagnostics
+# sparse matrices, and the structural diagnostics built on them
 # ---------------------------------------------------------------------------
-
-
-def grading_residual(alg: GradedLieAlgebra) -> float:
-    """Max |C| entry violating the grading (target grade != sum of grades)."""
-    worst = 0.0
-    for gx in (-1, 0, 1):
-        for gy in (-1, 0, 1):
-            blockxy = alg.C[alg.grade_slice(gx), alg.grade_slice(gy), :]
-            for gz in (-1, 0, 1):
-                if gz == gx + gy:
-                    continue
-                part = blockxy[:, :, alg.grade_slice(gz)]
-                if part.size:
-                    worst = max(worst, float(np.abs(part).max()))
-    return worst
 
 
 def _flat_nonzero(A: np.ndarray) -> np.ndarray:
@@ -541,51 +526,230 @@ def _flat_nonzero(A: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
 
-def jacobi_residual(alg: GradedLieAlgebra) -> float:
-    """Max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples.
-
-    The contraction runs on the nonzeros of C alone.  Joining every inner
-    bracket [b_i, b_j] -> b_m with the outer brackets [b_m, b_k] -> b_l
-    gives the terms of T[i, j, k, l] = sum_m C[i, j, m] C[m, k, l].  The
-    Jacobi sum is T[i, j, k, l] + T[j, k, i, l] + T[k, i, j, l], so a term
-    of T at (a, b, c, l) counts at (a, b, c, l), (c, a, b, l) and
-    (b, c, a, l).  No grading is presumed.  The entries are dyadic
-    rationals and every product and sum is exact, so the result does not
-    depend on the order of summation.
-    """
-    N = alg.n_total
-    # C order: the entries of one first index are a run
-    i, j, m = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
-    val = alg.C[i, j, m]
-    count = np.bincount(i, minlength=N)
-    start = np.cumsum(count) - count
-    reps = count[m]  # outer brackets that each inner entry meets
-    inner = np.repeat(np.arange(val.size), reps)
-    outer = np.repeat(start[m] - (np.cumsum(reps) - reps), reps) + np.arange(inner.size)
-    a, b, c, l = i[inner], j[inner], j[outer], m[outer]
-    key = np.concatenate([((a * N + b) * N + c) * N + l, ((c * N + a) * N + b) * N + l,
-                          ((b * N + c) * N + a) * N + l])
-    _, slot = np.unique(key, return_inverse=True)
-    total = np.bincount(slot, weights=np.tile(val[inner] * val[outer], 3))
-    return float(np.abs(total).max(initial=0.0))
-
-
 def rank_cutoff(smax: float) -> float:
     """Largest singular value that counts as zero in a matrix whose largest is ``smax``."""
     return RANK_TOL * max(1.0, float(smax))
 
 
-def dense_rank(A: np.ndarray) -> int:
-    """Rank of a dense matrix under :func:`rank_cutoff`."""
-    s = np.linalg.svd(A, compute_uv=False)
-    return int((s > rank_cutoff(s.max(initial=0.0))).sum())
+def _check_inner(A, x) -> None:
+    """Refuse ``A @ x`` unless the columns of ``A`` match the rows of ``x``."""
+    if x.shape[:1] != A.shape[1:]:
+        raise ValueError(f"matmul inner dimensions differ: {A.shape} @ {x.shape}")
+
+
+class Triplets:
+    """A sparse matrix as (row, column, value) triplets.
+
+    No (row, column) pair repeats.  ``T @ x`` and ``x @ T`` take a dense
+    vector or matrix ``x``, or another :class:`Triplets` on the right.
+    """
+
+    __array_ufunc__ = None  # ``ndarray @ Triplets`` defers to __rmatmul__
+
+    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.vals = np.asarray(vals, dtype=float)
+        self.shape = (int(shape[0]), int(shape[1]))
+
+    @classmethod
+    def from_dense(cls, A: np.ndarray) -> Triplets:
+        rows, cols = np.divmod(_flat_nonzero(A), A.shape[1])
+        return cls(rows, cols, A[rows, cols], A.shape)
+
+    @classmethod
+    def summed(cls, rows, cols, vals, shape: tuple[int, int]) -> Triplets:
+        """Triplets from entries whose repeated (row, column) pairs add up;
+        entries that sum to zero are dropped."""
+        key, inv = np.unique(np.asarray(rows) * shape[1] + cols, return_inverse=True)
+        vals = np.bincount(inv, weights=vals, minlength=key.size)
+        keep = vals != 0.0
+        return cls(*np.divmod(key[keep], shape[1]), vals[keep], shape)
+
+    @property
+    def T(self) -> Triplets:
+        return Triplets(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def dense(self) -> np.ndarray:
+        M = np.zeros(self.shape)
+        M[self.rows, self.cols] = self.vals
+        return M
+
+    def __rmul__(self, scale: float) -> Triplets:
+        return Triplets(self.rows, self.cols, scale * self.vals, self.shape)
+
+    def __matmul__(self, x):
+        x = x if isinstance(x, Triplets) else np.asarray(x, dtype=float)
+        _check_inner(self, x)
+        if isinstance(x, Triplets):
+            # join every entry (i, k) of self with the entries (k, j) of x
+            count = np.bincount(x.rows, minlength=x.shape[0])
+            start = np.cumsum(count) - count
+            reps = count[self.cols]
+            mine = np.repeat(np.arange(self.vals.size), reps)
+            first = np.repeat(start[self.cols] - (np.cumsum(reps) - reps), reps)
+            theirs = np.argsort(x.rows, kind="stable")[first + np.arange(mine.size)]
+            return Triplets.summed(
+                self.rows[mine],
+                x.cols[theirs],
+                self.vals[mine] * x.vals[theirs],
+                (self.shape[0], x.shape[1]),
+            )
+        out = np.zeros((self.shape[0],) + x.shape[1:])
+        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols])
+        return out
+
+    def __rmatmul__(self, x):
+        return (self.T @ np.asarray(x).T).T
+
+
+class Blocks:
+    """A matrix split into its connected blocks, stacked by block shape.
+
+    The blocks are the connected components of the bipartite graph that
+    joins row i to column j wherever entry (i, j) is nonzero; after a
+    permutation of rows and columns the matrix is block-diagonal with
+    these blocks.  Each group stacks the k blocks of one shape (r, c):
+    ``rows`` (k, r) and ``cols`` (k, c) index the matrix, and ``vals``
+    (k, r, c) holds the entries.  Rows and columns in no block are zero.
+
+    The singular values of the matrix are those of its blocks together,
+    so ranks and pseudo-inverses are taken block by block under the
+    cutoff of the whole matrix (:func:`rank_cutoff` of the largest
+    singular value over all blocks).
+    """
+
+    __array_ufunc__ = None  # ``ndarray @ Blocks`` defers to __rmatmul__
+
+    def __init__(self, shape: tuple[int, int], groups: list[tuple[np.ndarray, ...]]):
+        self.shape = shape
+        self.groups = groups
+
+    @classmethod
+    def split(cls, A: Triplets) -> Blocks:
+        m, n = A.shape
+        u, v = A.rows, A.cols + m  # columns are nodes m .. m + n - 1
+        root = np.arange(m + n)
+        while True:  # hook each root onto the smallest root it touches, then jump
+            ru, rv = root[u], root[v]
+            if np.array_equal(ru, rv):
+                break
+            np.minimum.at(root, ru, rv)
+            np.minimum.at(root, rv, ru)
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+        # number the blocks, then place each row and column inside its block:
+        # rows before columns, each in index order
+        nodes = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=m + n))
+        _, block = np.unique(root[nodes], return_inverse=True)
+        is_row = nodes < m
+        nrows = np.bincount(block[is_row], minlength=block.max(initial=-1) + 1)
+        ncols = np.bincount(block[~is_row], minlength=nrows.size)
+        place = np.empty(nodes.size, dtype=np.intp)
+        place[np.argsort(block, kind="stable")] = np.arange(nodes.size)
+        first = np.cumsum(nrows + ncols) - (nrows + ncols)
+        local = np.zeros(m + n, dtype=np.intp)
+        local[nodes] = place - first[block] - np.where(is_row, 0, nrows[block])
+        block_of = np.zeros(m + n, dtype=np.intp)
+        block_of[nodes] = block
+        # stack the blocks of each shape (r, c)
+        shapes, group = np.unique(nrows * (n + 1) + ncols, return_inverse=True)
+        slot = np.zeros(nrows.size, dtype=np.intp)
+        groups = []
+        for g, (r, c) in enumerate(zip(*np.divmod(shapes, n + 1))):
+            members = np.flatnonzero(group == g)
+            slot[members] = np.arange(members.size)
+            mine = nodes[group[block] == g]
+            rmine, cmine = mine[mine < m], mine[mine >= m]
+            rows = np.zeros((members.size, r), dtype=np.intp)
+            cols = np.zeros((members.size, c), dtype=np.intp)
+            rows[slot[block_of[rmine]], local[rmine]] = rmine
+            cols[slot[block_of[cmine]], local[cmine]] = cmine - m
+            e = np.flatnonzero(group[block_of[u]] == g)
+            vals = np.zeros((members.size, r, c))
+            vals[slot[block_of[u[e]]], local[u[e]], local[v[e]]] = A.vals[e]
+            groups.append((rows, cols, vals))
+        return cls(A.shape, groups)
+
+    @property
+    def T(self) -> Blocks:
+        return Blocks(self.shape[::-1], [(c, r, v.transpose(0, 2, 1)) for r, c, v in self.groups])
+
+    def rank(self) -> int:
+        s = np.concatenate(
+            [np.linalg.svd(v, compute_uv=False).reshape(-1) for _, _, v in self.groups] or [[]]
+        )
+        return int((s > rank_cutoff(s.max(initial=0.0))).sum())
+
+    def pinv(self) -> tuple[Blocks, int]:
+        """Pseudo-inverse and rank."""
+        svds = [np.linalg.svd(v, full_matrices=False) for _, _, v in self.groups]
+        cutoff = rank_cutoff(max((s.max(initial=0.0) for _, s, _ in svds), default=0.0))
+        groups = []
+        rank = 0
+        for (rows, cols, _), (U, s, Vt) in zip(self.groups, svds):
+            large = s > cutoff
+            rank += int(large.sum())
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+            groups.append((cols, rows, np.matmul(Vt.transpose(0, 2, 1) * inv[:, None, :],
+                                                 U.transpose(0, 2, 1))))
+        return Blocks(self.shape[::-1], groups), rank
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        _check_inner(self, x)
+        out = np.zeros((self.shape[0],) + x.shape[1:])
+        for rows, cols, vals in self.groups:
+            out[rows] = np.einsum("krc,kc...->kr...", vals, x[cols])
+        return out
+
+    def __rmatmul__(self, x):
+        return (self.T @ np.asarray(x).T).T
+
+
+def _ad_g1(alg: GradedLieAlgebra) -> Triplets:
+    """ad: g_1 -> g_{-1}^* (x) g_0; column w is the one-cochain x_a -> [z_w, x_a]
+    in the (a, c) column slots of :func:`ahsnormal.spencer.d_triplets` at grade 0,
+    so their product is d ad."""
+    n, n0, n1 = alg.dims
+    return Triplets.from_dense(alg.block(1, -1).reshape(n1, n * n0).T)
+
+
+def grading_residual(alg: GradedLieAlgebra) -> float:
+    """Max |C| entry violating the grading (target grade != sum of grades)."""
+    i, j, k = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
+    grade = np.repeat([-1, 0, 1], alg.dims)
+    bad = grade[i] + grade[j] != grade[k]
+    return float(np.abs(alg.C[i[bad], j[bad], k[bad]]).max(initial=0.0))
+
+
+def jacobi_residual(alg: GradedLieAlgebra) -> float:
+    """Max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples.
+
+    T[i, j, k, l] = sum_m C[i, j, m] C[m, k, l] is the triplet product of C
+    read as an (N^2, N) matrix and C read as an (N, N^2) one.  The Jacobi sum is
+    T[i, j, k, l] + T[j, k, i, l] + T[k, i, j, l], so an entry of T at
+    (a, b, c, l) counts at (a, b, c, l), (c, a, b, l) and (b, c, a, l).  No
+    grading is presumed.  The entries are dyadic rationals and every
+    product and sum is exact, so the result does not depend on the order
+    of summation.
+    """
+    N = alg.n_total
+    inner, outer = alg.C.reshape(N * N, N), alg.C.reshape(N, N * N)
+    T = Triplets.from_dense(inner) @ Triplets.from_dense(outer)
+    (a, b), (c, l) = np.divmod(T.rows, N), np.divmod(T.cols, N)
+    J = Triplets.summed(np.concatenate([a * N + b, c * N + a, b * N + c]),
+                        np.concatenate([c * N + l, b * N + l, a * N + l]),
+                        np.tile(T.vals, 3), T.shape)
+    return float(np.abs(J.vals).max(initial=0.0))
 
 
 def center_dim(alg: GradedLieAlgebra) -> int:
     """Dimension of the center of the reductive part g_0."""
     n0 = alg.dims[1]
     sl0 = alg.grade_slice(0)
-    return n0 - dense_rank(alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0).T)
+    center_map = Triplets.from_dense(alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0))
+    return n0 - Blocks.split(center_map).rank()
 
 
 def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
@@ -595,11 +759,10 @@ def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
     g_{-1} and for the map g_1 -> Hom(g_{-1}, g_0), Z -> [Z, .].
     """
     n, n0, n1 = alg.dims
-    act = alg.block(0, -1).reshape(n0, n * n).T
-    zmap = alg.block(1, -1).reshape(n1, n * n0).T
+    act = Triplets.from_dense(alg.block(0, -1).reshape(n0, n * n))
     return {
-        "g0_on_gm1": (dense_rank(act), n0),
-        "g1_to_hom": (dense_rank(zmap), n1),
+        "g0_on_gm1": (Blocks.split(act).rank(), n0),
+        "g1_to_hom": (Blocks.split(_ad_g1(alg)).rank(), n1),
     }
 
 
@@ -764,11 +927,10 @@ def serialize(alg: GradedLieAlgebra) -> dict:
     Structure constants are emitted as (i, j, k, value) quadruples for the
     nonzero entries with i < j; the i > j half follows by antisymmetry.
     """
-    triples = []
-    nz = np.argwhere(alg.C != 0.0)
-    for i, j, k in nz:
-        if i < j:
-            triples.append([int(i), int(j), int(k), float(alg.C[i, j, k])])
+    i, j, k = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
+    keep = i < j
+    i, j, k = i[keep], j[keep], k[keep]
+    triples = [list(t) for t in zip(i.tolist(), j.tolist(), k.tolist(), alg.C[i, j, k].tolist())]
     return {
         "kind": alg.kind,
         "params": dict(alg.params),

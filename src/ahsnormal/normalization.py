@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _pair_table, _pairs
-from .spencer import (Blocks, OneCochain, Triplets, TwoCochain, _check_one, _check_two,
-                      d_triplets, dstar_triplets, spencer_d, spencer_dstar)
+from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _pair_table, _pairs
+from .spencer import (OneCochain, TwoCochain, _check_one, _check_two, d_triplets,
+                      dstar_triplets, spencer_d, spencer_dstar)
 
 # Fixed thresholds, each relative to max(1, largest entry), of
 # fiber_constancy_check, torsion_is_harmonic and oracle_gamma's solve.
@@ -409,7 +409,7 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor
 
     The trace map (:func:`trace_map_matrix`, the pairing-scaled d* d
     triplets) is inverted one connected block at a time
-    (:meth:`ahsnormal.spencer.Blocks.pinv`), which also gives its kernel
+    (:meth:`ahsnormal.graded_algebra.Blocks.pinv`), which also gives its kernel
     dimension.  The factorization depends only on the algebra, so it is
     made once per algebra content and reused by every later solve and by
     :func:`uniqueness_certificate`; only Tr kappa0 is computed per call.

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra
+from .graded_algebra import GradedLieAlgebra, _ad_g1
 from .spencer import (
     OneCochain,
     TwoCochain,
-    _ad_g1,
     _check_one,
     _check_two,
     d_triplets,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _flat_nonzero, _pair_table, rank_cutoff
+from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _ad_g1, _pair_table
 
 ONE_COCHAIN_GRADES = (0, 1)
 TWO_COCHAIN_GRADES = (-1, 0)
@@ -110,174 +110,6 @@ def spencer_dstar(alg: GradedLieAlgebra, phi: TwoCochain) -> OneCochain:
     return OneCochain(phi.grade + 1, out.reshape(alg.dims[0], -1))
 
 
-class Triplets:
-    """A sparse matrix as (row, column, value) triplets.
-
-    No (row, column) pair repeats.  ``T @ x`` and ``x @ T`` take a dense
-    vector or matrix ``x``, or another :class:`Triplets` on the right.
-    """
-
-    __array_ufunc__ = None  # ``ndarray @ Triplets`` defers to __rmatmul__
-
-    def __init__(self, rows, cols, vals, shape: tuple[int, int]):
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.vals = np.asarray(vals, dtype=float)
-        self.shape = (int(shape[0]), int(shape[1]))
-
-    @classmethod
-    def from_dense(cls, A: np.ndarray) -> Triplets:
-        rows, cols = np.divmod(_flat_nonzero(A), A.shape[1])
-        return cls(rows, cols, A[rows, cols], A.shape)
-
-    @classmethod
-    def summed(cls, rows, cols, vals, shape: tuple[int, int]) -> Triplets:
-        """Triplets from entries whose repeated (row, column) pairs add up;
-        entries that sum to zero are dropped."""
-        key, inv = np.unique(np.asarray(rows) * shape[1] + cols, return_inverse=True)
-        vals = np.bincount(inv, weights=vals, minlength=key.size)
-        keep = vals != 0.0
-        return cls(*np.divmod(key[keep], shape[1]), vals[keep], shape)
-
-    @property
-    def T(self) -> Triplets:
-        return Triplets(self.cols, self.rows, self.vals, self.shape[::-1])
-
-    def dense(self) -> np.ndarray:
-        M = np.zeros(self.shape)
-        M[self.rows, self.cols] = self.vals
-        return M
-
-    def __rmul__(self, scale: float) -> Triplets:
-        return Triplets(self.rows, self.cols, scale * self.vals, self.shape)
-
-    def __matmul__(self, x):
-        if isinstance(x, Triplets):
-            # join every entry (i, k) of self with the entries (k, j) of x
-            count = np.bincount(x.rows, minlength=x.shape[0])
-            start = np.cumsum(count) - count
-            reps = count[self.cols]
-            mine = np.repeat(np.arange(self.vals.size), reps)
-            first = np.repeat(start[self.cols] - (np.cumsum(reps) - reps), reps)
-            theirs = np.argsort(x.rows, kind="stable")[first + np.arange(mine.size)]
-            return Triplets.summed(
-                self.rows[mine],
-                x.cols[theirs],
-                self.vals[mine] * x.vals[theirs],
-                (self.shape[0], x.shape[1]),
-            )
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.shape[0],) + x.shape[1:])
-        np.add.at(out, self.rows, self.vals.reshape((-1,) + (1,) * (x.ndim - 1)) * x[self.cols])
-        return out
-
-    def __rmatmul__(self, x):
-        return (self.T @ np.asarray(x).T).T
-
-
-class Blocks:
-    """A matrix split into its connected blocks, stacked by block shape.
-
-    The blocks are the connected components of the bipartite graph that
-    joins row i to column j wherever entry (i, j) is nonzero; after a
-    permutation of rows and columns the matrix is block-diagonal with
-    these blocks.  Each group stacks the k blocks of one shape (r, c):
-    ``rows`` (k, r) and ``cols`` (k, c) index the matrix, and ``vals``
-    (k, r, c) holds the entries.  Rows and columns in no block are zero.
-
-    The singular values of the matrix are those of its blocks together,
-    so ranks and pseudo-inverses are taken block by block under the
-    cutoff of the whole matrix (:func:`ahsnormal.graded_algebra.rank_cutoff`
-    of the largest singular value over all blocks).
-    """
-
-    __array_ufunc__ = None  # ``ndarray @ Blocks`` defers to __rmatmul__
-
-    def __init__(self, shape: tuple[int, int], groups: list[tuple[np.ndarray, ...]]):
-        self.shape = shape
-        self.groups = groups
-
-    @classmethod
-    def split(cls, A: Triplets) -> Blocks:
-        m, n = A.shape
-        u, v = A.rows, A.cols + m  # columns are nodes m .. m + n - 1
-        root = np.arange(m + n)
-        while True:  # hook each root onto the smallest root it touches, then jump
-            ru, rv = root[u], root[v]
-            if np.array_equal(ru, rv):
-                break
-            np.minimum.at(root, ru, rv)
-            np.minimum.at(root, rv, ru)
-            while not np.array_equal(jumped := root[root], root):
-                root = jumped
-        # number the blocks, then place each row and column inside its block:
-        # rows before columns, each in index order
-        nodes = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=m + n))
-        _, block = np.unique(root[nodes], return_inverse=True)
-        is_row = nodes < m
-        nrows = np.bincount(block[is_row], minlength=block.max(initial=-1) + 1)
-        ncols = np.bincount(block[~is_row], minlength=nrows.size)
-        place = np.empty(nodes.size, dtype=np.intp)
-        place[np.argsort(block, kind="stable")] = np.arange(nodes.size)
-        first = np.cumsum(nrows + ncols) - (nrows + ncols)
-        local = np.zeros(m + n, dtype=np.intp)
-        local[nodes] = place - first[block] - np.where(is_row, 0, nrows[block])
-        block_of = np.zeros(m + n, dtype=np.intp)
-        block_of[nodes] = block
-        # stack the blocks of each shape (r, c)
-        shapes, group = np.unique(nrows * (n + 1) + ncols, return_inverse=True)
-        slot = np.zeros(nrows.size, dtype=np.intp)
-        groups = []
-        for g, (r, c) in enumerate(zip(*np.divmod(shapes, n + 1))):
-            members = np.flatnonzero(group == g)
-            slot[members] = np.arange(members.size)
-            mine = nodes[group[block] == g]
-            rmine, cmine = mine[mine < m], mine[mine >= m]
-            rows = np.zeros((members.size, r), dtype=np.intp)
-            cols = np.zeros((members.size, c), dtype=np.intp)
-            rows[slot[block_of[rmine]], local[rmine]] = rmine
-            cols[slot[block_of[cmine]], local[cmine]] = cmine - m
-            e = np.flatnonzero(group[block_of[u]] == g)
-            vals = np.zeros((members.size, r, c))
-            vals[slot[block_of[u[e]]], local[u[e]], local[v[e]]] = A.vals[e]
-            groups.append((rows, cols, vals))
-        return cls(A.shape, groups)
-
-    @property
-    def T(self) -> Blocks:
-        return Blocks(self.shape[::-1], [(c, r, v.transpose(0, 2, 1)) for r, c, v in self.groups])
-
-    def rank(self) -> int:
-        s = np.concatenate(
-            [np.linalg.svd(v, compute_uv=False).reshape(-1) for _, _, v in self.groups] or [[]]
-        )
-        return int((s > rank_cutoff(s.max(initial=0.0))).sum())
-
-    def pinv(self) -> tuple[Blocks, int]:
-        """Pseudo-inverse and rank."""
-        svds = [np.linalg.svd(v, full_matrices=False) for _, _, v in self.groups]
-        cutoff = rank_cutoff(max((s.max(initial=0.0) for _, s, _ in svds), default=0.0))
-        groups = []
-        rank = 0
-        for (rows, cols, _), (U, s, Vt) in zip(self.groups, svds):
-            large = s > cutoff
-            rank += int(large.sum())
-            inv = np.divide(1.0, s, out=np.zeros_like(s), where=large)
-            groups.append((cols, rows, np.matmul(Vt.transpose(0, 2, 1) * inv[:, None, :],
-                                                 U.transpose(0, 2, 1))))
-        return Blocks(self.shape[::-1], groups), rank
-
-    def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.shape[0],) + x.shape[1:])
-        for rows, cols, vals in self.groups:
-            out[rows] = np.einsum("krc,kc...->kr...", vals, x[cols])
-        return out
-
-    def __rmatmul__(self, x):
-        return (self.T @ np.asarray(x).T).T
-
-
 def d_triplets(alg: GradedLieAlgebra, one_grade: int) -> Triplets:
     """The differential on grade-``one_grade`` one-cochains, as triplets.
 
@@ -326,13 +158,6 @@ def dstar_triplets(alg: GradedLieAlgebra, two_grade: int) -> Triplets:
         np.broadcast_to(W[a, k, v], (n, a.size)).reshape(-1),
         (n * nv_o, n * n * nv_t),
     )
-
-
-def _ad_g1(alg: GradedLieAlgebra) -> Triplets:
-    """ad: g_1 -> g_{-1}^* (x) g_0; column w is the one-cochain x_a -> [z_w, x_a]
-    in the (a, c) column slots of ``d_triplets(alg, 0)``, so their product is d ad."""
-    n, n0, n1 = alg.dims
-    return Triplets.from_dense(alg.block(1, -1).reshape(n1, n * n0).T)
 
 
 def d_matrix(alg: GradedLieAlgebra, one_grade: int) -> np.ndarray:
@@ -468,26 +293,3 @@ def harmonic_decompose(alg: GradedLieAlgebra, t: TwoCochain) -> tuple[TwoCochain
     harm = TwoCochain(t.grade, t.data - spencer_d(alg, psi).data)
     return harm, psi
 
-
-def g0_action_one_cochain(alg: GradedLieAlgebra, A: np.ndarray, psi: OneCochain) -> OneCochain:
-    """Infinitesimal g_0 action (A . psi)(X) = [A, psi(X)] - psi([A, X])."""
-    _check_one(alg, psi)
-    act_val = alg.block(0, psi.grade)
-    act_m1 = alg.block(0, -1)
-    term1 = np.einsum("c,au,cuv->av", A, psi.data, act_val)
-    term2 = np.einsum("c,cab,bv->av", A, act_m1, psi.data)
-    return OneCochain(psi.grade, term1 - term2)
-
-
-def g0_action_two_cochain(alg: GradedLieAlgebra, A: np.ndarray, phi: TwoCochain) -> TwoCochain:
-    """Infinitesimal g_0 action on two-cochains.
-
-    (A . phi)(X, Y) = [A, phi(X, Y)] - phi([A, X], Y) - phi(X, [A, Y]).
-    """
-    _check_two(alg, phi)
-    act_val = alg.block(0, phi.grade)
-    act_m1 = alg.block(0, -1)
-    term1 = np.einsum("c,abk,ckv->abv", A, phi.data, act_val)
-    term2 = np.einsum("c,cau,ubv->abv", A, act_m1, phi.data)
-    term3 = np.einsum("c,cbu,auv->abv", A, act_m1, phi.data)
-    return TwoCochain(phi.grade, term1 - term2 - term3)

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import VERIFY_GRID, algebra
 
-from ahsnormal import spencer
+from ahsnormal import cli, spencer
 from ahsnormal.cli import (
     EXIT_INVARIANT,
     EXIT_NONUNIQUE,
@@ -605,3 +606,19 @@ def test_verify_runs_without_loading_scipy():
     # numpy.ma comes in through np.unique's masked-array check, a per-process
     # import cost that no rank needs
     assert proc.stdout.strip() == f"{EXIT_OK} [] False"
+
+
+def test_every_package_callable_cli_binds_is_a_traced_span(monkeypatch):
+    """The benchmark's tracer wraps each package callable that cli binds by
+    name and refuses a span outside its LAYERS, so cli reaches private
+    helpers (``_is_int``, ``_flat_nonzero``) through the module object."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    if not (bench / "tracing.py").is_file():
+        pytest.skip("perfbench/tracing.py is not in this checkout")
+    monkeypatch.syspath_prepend(str(bench))
+    import tracing
+    spans = {name for names, _ in tracing.LAYERS.values() for name in names}
+    for attr, value in vars(cli).items():
+        home = getattr(value, "__module__", "").rpartition(".")[2]
+        if callable(value) and attr not in tracing.NOT_TRACED and home in tracing.MODULES[:-1]:
+            assert f"{home}.{attr}" in spans, attr

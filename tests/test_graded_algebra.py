@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -22,6 +24,7 @@ from ahsnormal import (
     jacobi_residual,
     serialize,
 )
+from ahsnormal.graded_algebra import Blocks, Triplets, rank_cutoff
 
 
 def coeffs(alg, a: str, b: str) -> dict[str, float]:
@@ -139,6 +142,50 @@ def test_axioms(kind, params):
     ranks = faithfulness_ranks(alg)
     for got, expected in ranks.values():
         assert got == expected
+
+
+def ref_dense_rank(A: np.ndarray) -> int:
+    s = np.linalg.svd(A, compute_uv=False)
+    return int((s > rank_cutoff(s.max(initial=0.0))).sum())
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_structure_ranks_match_dense_svd(kind, params):
+    alg = algebra(kind, **params)
+    n, n0, n1 = alg.dims
+    sl0 = alg.grade_slice(0)
+    assert center_dim(alg) == n0 - ref_dense_rank(alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0).T)
+    ranks = faithfulness_ranks(alg)
+    assert ranks["g0_on_gm1"] == (ref_dense_rank(alg.block(0, -1).reshape(n0, n * n).T), n0)
+    assert ranks["g1_to_hom"] == (ref_dense_rank(alg.block(1, -1).reshape(n1, n * n0).T), n1)
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_grading_residual_is_a_planted_entry(kind, params):
+    alg = algebra(kind, **params)
+    C = alg.C.copy()
+    C[0, 0, alg.dims[0]] = -0.375  # [g_{-1}, g_{-1}] lands in g_0, not in grade -2
+    assert grading_residual(dataclasses.replace(alg, C=C)) == 0.375
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_faithfulness_counts_a_g0_element_acting_as_zero(kind, params):
+    alg = algebra(kind, **params)
+    n, n0, _ = alg.dims
+    C = alg.C.copy()
+    C[n, :n, :n] = C[:n, n, :n] = 0.0
+    assert faithfulness_ranks(dataclasses.replace(alg, C=C))["g0_on_gm1"] == (n0 - 1, n0)
+
+
+def test_sparse_products_refuse_mismatched_inner_dimensions():
+    A = Triplets([0], [0], [1.0], (1, 2))
+    B = Blocks.split(A)
+    for bad in (lambda: A @ np.ones(5), lambda: A @ Triplets([0], [0], [1.0], (3, 1)),
+                lambda: B @ np.ones(5), lambda: np.ones(3) @ A, lambda: np.ones(3) @ B):
+        with pytest.raises(ValueError, match="inner dimensions differ"):
+            bad()
+    assert (A @ np.ones(2)).tolist() == (B @ np.ones(2)).tolist() == [1.0]
+    assert (np.ones(1) @ A).tolist() == (np.ones(1) @ B).tolist() == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
