@@ -575,9 +575,6 @@ class Triplets:
         M[self.rows, self.cols] = self.vals
         return M
 
-    def __rmul__(self, scale: float) -> Triplets:
-        return Triplets(self.rows, self.cols, scale * self.vals, self.shape)
-
     def __matmul__(self, x):
         x = x if isinstance(x, Triplets) else np.asarray(x, dtype=float)
         _check_inner(self, x)
@@ -609,9 +606,11 @@ class Blocks:
     The blocks are the connected components of the bipartite graph that
     joins row i to column j wherever entry (i, j) is nonzero; after a
     permutation of rows and columns the matrix is block-diagonal with
-    these blocks.  Each group stacks the k blocks of one shape (r, c):
-    ``rows`` (k, r) and ``cols`` (k, c) index the matrix, and ``vals``
-    (k, r, c) holds the entries.  Rows and columns in no block are zero.
+    these blocks.  Each group stacks the k blocks of one shape (r, c), in
+    the order of their first rows, and the groups go by r, then c: ``rows``
+    (k, r) and ``cols`` (k, c) index the matrix, each in index order, and
+    ``vals`` (k, r, c) holds the entries.  Rows and columns in no block are
+    zero.
 
     The singular values of the matrix are those of its blocks together,
     so ranks and pseudo-inverses are taken block by block under the
@@ -638,37 +637,28 @@ class Blocks:
             np.minimum.at(root, rv, ru)
             while not np.array_equal(jumped := root[root], root):
                 root = jumped
-        # number the blocks, then place each row and column inside its block:
-        # rows before columns, each in index order
-        nodes = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=m + n))
-        _, block = np.unique(root[nodes], return_inverse=True)
-        is_row = nodes < m
-        nrows = np.bincount(block[is_row], minlength=block.max(initial=-1) + 1)
-        ncols = np.bincount(block[~is_row], minlength=nrows.size)
-        place = np.empty(nodes.size, dtype=np.intp)
-        place[np.argsort(block, kind="stable")] = np.arange(nodes.size)
-        first = np.cumsum(nrows + ncols) - (nrows + ncols)
-        local = np.zeros(m + n, dtype=np.intp)
-        local[nodes] = place - first[block] - np.where(is_row, 0, nrows[block])
-        block_of = np.zeros(m + n, dtype=np.intp)
-        block_of[nodes] = block
-        # stack the blocks of each shape (r, c)
-        shapes, group = np.unique(nrows * (n + 1) + ncols, return_inverse=True)
-        slot = np.zeros(nrows.size, dtype=np.intp)
+        # tag each touched node with its block's shape (r, c) as r * (n + 1) + c:
+        # summed per root, a row weighs n + 1 and a column 1
+        touched = np.bincount(np.concatenate([u, v]), minlength=m + n) > 0
+        weight = np.where(np.arange(m + n) < m, n + 1, 1) * touched
+        key = np.where(touched, np.bincount(root, weights=weight).astype(np.intp)[root], -1)
+        slot = np.zeros(m + n, dtype=np.intp)  # a node's block within its group
+        local = np.zeros(m + n, dtype=np.intp)  # its place within its block
         groups = []
-        for g, (r, c) in enumerate(zip(*np.divmod(shapes, n + 1))):
-            members = np.flatnonzero(group == g)
-            slot[members] = np.arange(members.size)
-            mine = nodes[group[block] == g]
-            rmine, cmine = mine[mine < m], mine[mine >= m]
-            rows = np.zeros((members.size, r), dtype=np.intp)
-            cols = np.zeros((members.size, c), dtype=np.intp)
-            rows[slot[block_of[rmine]], local[rmine]] = rmine
-            cols[slot[block_of[cmine]], local[cmine]] = cmine - m
-            e = np.flatnonzero(group[block_of[u]] == g)
-            vals = np.zeros((members.size, r, c))
-            vals[slot[block_of[u[e]]], local[u[e]], local[v[e]]] = A.vals[e]
-            groups.append((rows, cols, vals))
+        for shape in np.unique(key[touched], return_counts=True)[0]:
+            r, c = divmod(int(shape), n + 1)
+            # one stable sort by root: the nodes of a block sit together, each
+            # in index order, and the blocks in root order
+            mine = np.flatnonzero(key == shape)
+            mine = mine[np.argsort(root[mine], kind="stable")]
+            rows, cols = mine[mine < m].reshape(-1, r), mine[mine >= m].reshape(-1, c)
+            for block in (rows, cols):
+                slot[block] = np.arange(block.shape[0])[:, None]
+                local[block] = np.arange(block.shape[1])
+            e = np.flatnonzero(key[u] == shape)
+            vals = np.zeros((rows.shape[0], r, c))
+            vals[slot[u[e]], local[u[e]], local[v[e]]] = A.vals[e]
+            groups.append((rows, cols - m, vals))
         return cls(A.shape, groups)
 
     @property

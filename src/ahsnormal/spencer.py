@@ -96,7 +96,11 @@ def _check_two(alg: GradedLieAlgebra, phi: TwoCochain, grade=None, name="phi") -
 
 
 def spencer_d(alg: GradedLieAlgebra, psi: OneCochain) -> TwoCochain:
-    """Spencer differential (d psi)(X, Y) = [psi(X), Y] - [psi(Y), X]."""
+    """Spencer differential (d psi)(X, Y) = [psi(X), Y] - [psi(Y), X].
+
+    This stays an einsum: ``d_triplets @ psi`` gives the same reports but
+    moves the last digits of the harmonic fingerprints, which take d psi here.
+    """
     _check_one(alg, psi)
     B = alg.block(psi.grade, -1)
     half = np.einsum("au,ubk->abk", psi.data, B)
@@ -170,30 +174,15 @@ def dstar_matrix(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
     return dstar_triplets(alg, two_grade).dense()
 
 
-def _pair_rows(D: Triplets, n: int) -> Triplets:
-    """Rows a < b of a differential.
-
-    Row (b, a, k) of the differential is minus row (a, b, k) and row
-    (a, a, k) vanishes, so these rows span its row space.
-    """
-    nv = D.shape[0] // (n * n)
-    a, b, k = np.unravel_index(D.rows, (n, n, nv))
-    slot, _ = _pair_table(n, -1)
-    keep = a < b
-    return Triplets(
-        slot[a[keep], b[keep]] * nv + k[keep],
-        D.cols[keep],
-        D.vals[keep],
-        (n * (n - 1) // 2 * nv, D.shape[1]),
-    )
-
-
 def _pair_cols(S: Triplets, n: int) -> Triplets:
-    """Columns a < b of a codifferential precomposed with the alternation.
+    """Columns a < b of a matrix on two-cochains precomposed with the alternation.
 
     Column (a, b, k) of the alternated matrix is half the difference of the
-    (a, b, k) and (b, a, k) columns of the codifferential; column (b, a, k)
-    is its negative and column (a, a, k) vanishes.
+    (a, b, k) and (b, a, k) columns of S; column (b, a, k) is its negative
+    and column (a, a, k) vanishes.  On a transposed differential, whose
+    column (b, a, k) is minus its column (a, b, k), each half adds up
+    exactly to the (a, b, k) column, so ``_pair_cols(D.T, n)`` is the
+    transpose of the a < b rows of D.
     """
     nv = S.shape[1] // (n * n)
     a, b, k = np.unravel_index(S.cols, (n, n, nv))
@@ -219,15 +208,15 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
     rank(d* d), and ker(d*) inside the alternating subspace is measured by
     the rank of d* precomposed with the alternation projector.
 
-    Every rank is taken in pair coordinates a < b.  The (b, a) rows of d
-    are the negatives of its (a, b) rows and its (a, a) rows vanish, so
-    the a < b rows carry its rank; the alternated d* has the same property
-    in its columns; and d* d = 2 (alternated d*)_{a<b} d_{a<b} exactly.
-    The dense operators come from :func:`d_matrix` and :func:`dstar_matrix`
-    because the benchmark's tracer (``perfbench/tracing.py``) counts and
-    sizes those two calls here; they are dropped once their nonzeros are
-    read, every product is taken on triplets, and each rank is
-    :meth:`Blocks.rank`.
+    The ranks of d and of the alternated d* are taken in pair coordinates
+    a < b, by :func:`_pair_cols` on d transposed and on d*: the (b, a)
+    rows of d are the negatives of its (a, b) rows and its (a, a) rows
+    vanish, so the a < b rows carry its rank.  d* d is the product of the
+    full operators.  The dense operators come from :func:`d_matrix` and
+    :func:`dstar_matrix` because the benchmark's tracer
+    (``perfbench/tracing.py``) counts and sizes those two calls here; they
+    are dropped once their nonzeros are read, every product is taken on
+    triplets, and each rank is :meth:`Blocks.rank`.
 
     Returns:
         dict with dim_image_d, dim_kernel_dstar, intersection_dim,
@@ -236,11 +225,11 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
     n = alg.dims[0]
     nv = _value_dim(alg, two_grade)
     total = (n * (n - 1) // 2) * nv
-    D = _pair_rows(Triplets.from_dense(d_matrix(alg, two_grade + 1)), n)
-    S = _pair_cols(Triplets.from_dense(dstar_matrix(alg, two_grade)), n)
-    r_im = Blocks.split(D).rank()
-    inter = r_im - Blocks.split(2.0 * (S @ D)).rank()
-    r_ker = total - Blocks.split(S).rank()
+    D = Triplets.from_dense(d_matrix(alg, two_grade + 1))
+    S = Triplets.from_dense(dstar_matrix(alg, two_grade))
+    r_im = Blocks.split(_pair_cols(D.T, n)).rank()
+    inter = r_im - Blocks.split(S @ D).rank()
+    r_ker = total - Blocks.split(_pair_cols(S, n)).rank()
     return {
         "dim_image_d": r_im,
         "dim_kernel_dstar": r_ker,
@@ -256,19 +245,20 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str) -> int:
     H11 is computed as ker(d on grade-0 one-cochains) modulo the image of
     ad: g_1 -> g_{-1}^* (x) g_0 (that image lies inside the kernel, which is
     asserted).  H21 is the kernel of d on grade-1 one-cochains; nothing maps
-    into that spot because the grading stops at g_1.  The kernel of d is
-    read off its a < b rows, as in :func:`complementarity_check`, and every
-    rank, that of ad included, is :meth:`Blocks.rank`.  The closure of the
-    ad image is checked exactly: any nonzero entry of d ad raises.
+    into that spot because the grading stops at g_1.  The rank of d is
+    read off its a < b rows, ``_pair_cols(D.T, n)`` as in
+    :func:`complementarity_check`, and every rank, that of ad included, is
+    :meth:`Blocks.rank`.  The closure of the ad image is checked exactly:
+    any nonzero entry of d ad raises.
     """
     n, n0, n1 = alg.dims
     if level == "H11":
         D, ad = d_triplets(alg, 0), _ad_g1(alg)
         if (D @ ad).vals.size:
             raise AssertionError("ad image is not d-closed; structure tensor corrupt")
-        return n * n0 - Blocks.split(_pair_rows(D, n)).rank() - Blocks.split(ad).rank()
+        return n * n0 - Blocks.split(_pair_cols(D.T, n)).rank() - Blocks.split(ad).rank()
     if level == "H21":
-        return n * n1 - Blocks.split(_pair_rows(d_triplets(alg, 1), n)).rank()
+        return n * n1 - Blocks.split(_pair_cols(d_triplets(alg, 1).T, n)).rank()
     raise ValueError(f"level must be 'H11' or 'H21', got {level!r}")
 
 
@@ -278,18 +268,3 @@ def _hodge_parts(alg: GradedLieAlgebra, grade: int) -> tuple[Triplets, Blocks, T
     D, S = d_triplets(alg, grade + 1), dstar_triplets(alg, grade)
     P, _ = Blocks.split(S @ D).pinv()
     return D, P, S
-
-
-def harmonic_decompose(alg: GradedLieAlgebra, t: TwoCochain) -> tuple[TwoCochain, OneCochain]:
-    """Split t = harmonic + d(psi) with d*(harmonic) = 0 and psi of minimal norm.
-
-    Solves the normal equation (d* d) psi = d* t with the pseudo-inverse of
-    d* d from :func:`_hodge_parts`; the minimal-norm solution makes the
-    split deterministic.
-    """
-    _check_two(alg, t)
-    _, P, S = _hodge_parts(alg, t.grade)
-    psi = OneCochain(t.grade + 1, (P @ (S @ t.data.reshape(-1))).reshape(alg.dims[0], -1))
-    harm = TwoCochain(t.grade, t.data - spencer_d(alg, psi).data)
-    return harm, psi
-

@@ -30,7 +30,6 @@ from .normalization import (
     curvature_from_riemann,
     deformation_delta_kappa0,
     ricci_from_riemann,
-    trace_kappa0,
 )
 # dstar_matrix is unused here; perfbench's tracer test patches and restores testkit.dstar_matrix
 from .spencer import OneCochain, TwoCochain, _hodge_parts, _value_dim, dstar_matrix  # noqa: F401
@@ -247,23 +246,3 @@ def random_curvature(spec: SampleSpec) -> list[CurvatureData]:
             k0 = TwoCochain(0, rng.uniform(-1.0, 1.0, (n, n, n0)))
             out.append(CurvatureData(alg.kind, dict(alg.params), kappa_m1=km1, kappa0=k0))
     return out
-
-
-def brute_force_trace_map(alg: GradedLieAlgebra) -> np.ndarray:
-    """Dense matrix of Gamma -> Tr(delta kappa0(Gamma)), column by basis column.
-
-    Each column applies :func:`deformation_delta_kappa0` and then
-    :func:`trace_kappa0` to one basis cochain E_cu, so it shares no code
-    with the pairing-scaled d* d assembly in
-    :func:`ahsnormal.normalization.trace_map_matrix` and serves as its
-    independent oracle.
-    """
-    n, _, n1 = alg.dims
-    M = np.zeros((n * n, n * n1))
-    for c in range(n):
-        for u in range(n1):
-            E = np.zeros((n, n1))
-            E[c, u] = 1.0
-            col = trace_kappa0(alg, deformation_delta_kappa0(alg, OneCochain(1, E)))
-            M[:, c * n1 + u] = col.reshape(-1)
-    return M

@@ -1,6 +1,8 @@
 """Shared test helpers: a cached algebra factory, the parameter grid, a
-recorder of trace-map builds, broken copies of an algebra and an explicit
-basis of the harmonic two-cochains."""
+recorder of trace-map builds, broken copies of an algebra, an explicit
+basis of the harmonic two-cochains, and earlier library code kept as
+references: the block split with its numbering tables, the Hodge split
+of a two-cochain and the column-by-column trace-map assembly."""
 
 from __future__ import annotations
 
@@ -11,8 +13,17 @@ import numpy as np
 import pytest
 
 from ahsnormal import build_algebra, normalization
-from ahsnormal.graded_algebra import _pairs, rank_cutoff
-from ahsnormal.spencer import _value_dim, dstar_matrix
+from ahsnormal.graded_algebra import Blocks, Triplets, _pairs, rank_cutoff
+from ahsnormal.normalization import deformation_delta_kappa0, trace_kappa0
+from ahsnormal.spencer import (
+    OneCochain,
+    TwoCochain,
+    _check_two,
+    _hodge_parts,
+    _value_dim,
+    dstar_matrix,
+    spencer_d,
+)
 from ahsnormal.testkit import _block_trace_rows
 
 # Full parameter grid: every kind over its validity range, with the
@@ -126,3 +137,85 @@ def ref_harmonic_basis(alg, grade: int, block_trace_free: bool = False) -> np.nd
     _, s, vt = np.linalg.svd(M)
     rank = int((s > rank_cutoff(s.max(initial=0.0))).sum())
     return alt @ vt[rank:].T
+
+
+def ref_blocks_split(A: Triplets) -> Blocks:
+    """``Blocks.split`` as it was: the blocks numbered by ``np.unique`` of
+    their roots, each row and column placed through per-node tables, and
+    one pass over the block numbers per shape."""
+    m, n = A.shape
+    u, v = A.rows, A.cols + m  # columns are nodes m .. m + n - 1
+    root = np.arange(m + n)
+    while True:  # hook each root onto the smallest root it touches, then jump
+        ru, rv = root[u], root[v]
+        if np.array_equal(ru, rv):
+            break
+        np.minimum.at(root, ru, rv)
+        np.minimum.at(root, rv, ru)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    # number the blocks, then place each row and column inside its block:
+    # rows before columns, each in index order
+    nodes = np.flatnonzero(np.bincount(np.concatenate([u, v]), minlength=m + n))
+    _, block = np.unique(root[nodes], return_inverse=True)
+    is_row = nodes < m
+    nrows = np.bincount(block[is_row], minlength=block.max(initial=-1) + 1)
+    ncols = np.bincount(block[~is_row], minlength=nrows.size)
+    place = np.empty(nodes.size, dtype=np.intp)
+    place[np.argsort(block, kind="stable")] = np.arange(nodes.size)
+    first = np.cumsum(nrows + ncols) - (nrows + ncols)
+    local = np.zeros(m + n, dtype=np.intp)
+    local[nodes] = place - first[block] - np.where(is_row, 0, nrows[block])
+    block_of = np.zeros(m + n, dtype=np.intp)
+    block_of[nodes] = block
+    # stack the blocks of each shape (r, c)
+    shapes, group = np.unique(nrows * (n + 1) + ncols, return_inverse=True)
+    slot = np.zeros(nrows.size, dtype=np.intp)
+    groups = []
+    for g, (r, c) in enumerate(zip(*np.divmod(shapes, n + 1))):
+        members = np.flatnonzero(group == g)
+        slot[members] = np.arange(members.size)
+        mine = nodes[group[block] == g]
+        rmine, cmine = mine[mine < m], mine[mine >= m]
+        rows = np.zeros((members.size, r), dtype=np.intp)
+        cols = np.zeros((members.size, c), dtype=np.intp)
+        rows[slot[block_of[rmine]], local[rmine]] = rmine
+        cols[slot[block_of[cmine]], local[cmine]] = cmine - m
+        e = np.flatnonzero(group[block_of[u]] == g)
+        vals = np.zeros((members.size, r, c))
+        vals[slot[block_of[u[e]]], local[u[e]], local[v[e]]] = A.vals[e]
+        groups.append((rows, cols, vals))
+    return Blocks(A.shape, groups)
+
+
+def ref_harmonic_decompose(alg, t: TwoCochain) -> tuple[TwoCochain, OneCochain]:
+    """Split t = harmonic + d(psi) with d*(harmonic) = 0 and psi of minimal norm.
+
+    Solves the normal equation (d* d) psi = d* t with the pseudo-inverse of
+    d* d from ``spencer._hodge_parts``; the minimal-norm solution makes the
+    split deterministic.
+    """
+    _check_two(alg, t)
+    _, P, S = _hodge_parts(alg, t.grade)
+    psi = OneCochain(t.grade + 1, (P @ (S @ t.data.reshape(-1))).reshape(alg.dims[0], -1))
+    harm = TwoCochain(t.grade, t.data - spencer_d(alg, psi).data)
+    return harm, psi
+
+
+def ref_brute_force_trace_map(alg) -> np.ndarray:
+    """Dense matrix of Gamma -> Tr(delta kappa0(Gamma)), column by basis column.
+
+    Each column applies ``deformation_delta_kappa0`` and then
+    ``trace_kappa0`` to one basis cochain E_cu, so it shares no code
+    with the pairing-scaled d* d assembly in
+    ``normalization.trace_map_matrix`` and serves as its independent oracle.
+    """
+    n, _, n1 = alg.dims
+    M = np.zeros((n * n, n * n1))
+    for c in range(n):
+        for u in range(n1):
+            E = np.zeros((n, n1))
+            E[c, u] = 1.0
+            col = trace_kappa0(alg, deformation_delta_kappa0(alg, OneCochain(1, E)))
+            M[:, c * n1 + u] = col.reshape(-1)
+    return M

@@ -6,8 +6,9 @@ unoptimized automorphism contraction, the full-matrix complementarity and
 cohomology ranks, the hand-written z_drop contraction, the loop-built d
 and d* matrices, the unoptimized d* contraction, the whole-matrix SVD
 rank, the whole-matrix oracle solve, the dense-pinv harmonic sampler,
-scipy's matrix exponential, the 2-d ``np.nonzero`` read of a dense matrix
-and the pair-by-pair matrix-realization cross-check.  Structure constants are
+scipy's matrix exponential, the 2-d ``np.nonzero`` read of a dense matrix,
+the pair-by-pair matrix-realization cross-check and, from conftest, the
+block split with its numbering tables.  Structure constants are
 dyadic rationals, so wherever the arithmetic is exact the two must agree
 bit for bit; the automorphism residual sums random floats in a new order
 and the exponential is a new algorithm, so those get bounds instead.
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id, z_flips
+from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id, ref_blocks_split, z_flips
 
 from ahsnormal.graded_algebra import (
     CHUNK_ENTRIES,
@@ -42,7 +43,6 @@ from ahsnormal.spencer import (
     Triplets,
     TwoCochain,
     _pair_cols,
-    _pair_rows,
     _value_dim,
     cohomology_dim,
     complementarity_check,
@@ -340,7 +340,7 @@ def spencer_operators(alg) -> dict[str, np.ndarray]:
     n = alg.dims[0]
     ops = {"trace_map": trace_map_matrix(alg).dense()}
     for grade in (-1, 0):
-        ops[f"d_half_{grade}"] = _pair_rows(Triplets.from_dense(ref_d_matrix(alg, grade + 1)), n).dense()
+        ops[f"d_half_{grade}"] = _pair_cols(Triplets.from_dense(ref_d_matrix(alg, grade + 1)).T, n).T.dense()
         ops[f"dstar_half_{grade}"] = _pair_cols(Triplets.from_dense(ref_dstar_matrix(alg, grade)), n).dense()
         ops[f"dstar_d_{grade}"] = ref_dstar_matrix(alg, grade) @ ref_d_matrix(alg, grade + 1)
     return ops
@@ -389,6 +389,42 @@ def test_blocks_partition_the_nonzeros(kind, params):
         assert not A[covered == 0].any(), name
 
 
+def assert_split_as_reference(A: Triplets, name: str = "") -> None:
+    """Blocks.split and ref_blocks_split give the same groups in the same
+    order; the order fixes the pinv digits, and so the reports."""
+    got, ref = Blocks.split(A).groups, ref_blocks_split(A).groups
+    assert len(got) == len(ref), name
+    for g, r in zip(got, ref):
+        assert all(np.array_equal(x, y) for x, y in zip(g, r)), name
+
+
+@pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)
+def test_block_split_matches_its_reference(kind, params):
+    alg = algebra(kind, **params)
+    ops = {name: Triplets.from_dense(A) for name, A in spencer_operators(alg).items()}
+    for grade in (-1, 0):
+        D, S = d_triplets(alg, grade + 1), dstar_triplets(alg, grade)
+        ops |= {f"d_{grade}": D, f"dstar_{grade}": S, f"d_pairs_{grade}": _pair_cols(D.T, alg.dims[0])}
+    for name, A in ops.items():
+        assert_split_as_reference(A, name)
+
+
+def test_block_split_matches_its_reference_on_random_matrices():
+    rng = np.random.default_rng(29)
+    cases = [np.zeros((3, 4)), np.zeros((0, 0)), np.zeros((0, 5)), np.eye(4)]
+    for _ in range(100):
+        shape = tuple(rng.integers(1, 30, 2))
+        A = rng.integers(-3, 4, shape) * (rng.random(shape) < rng.uniform(0.02, 0.3))
+        A[rng.integers(shape[0])] = 0  # an empty row and an empty column
+        A[:, rng.integers(shape[1])] = 0
+        cases.append(A.astype(float))
+    for i, A in enumerate(cases):
+        T = Triplets.from_dense(A)
+        order = rng.permutation(T.vals.size)  # the split must not read the entry order
+        for B in (T, Triplets(T.rows[order], T.cols[order], T.vals[order], T.shape)):
+            assert_split_as_reference(B, f"case {i}")
+
+
 @pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)
 def test_block_rank_matches_whole_matrix_svd(kind, params):
     # each operator as the library ranks it (a < b halves, triplets), then in full
@@ -402,11 +438,11 @@ def test_block_rank_matches_whole_matrix_svd(kind, params):
         D = ref_d_matrix(alg, grade + 1)
         S = ref_dstar_matrix(alg, grade)
         S_swapped = S.reshape(S.shape[0], n, n, nv).transpose(0, 2, 1, 3).reshape(S.shape)
-        D_half = _pair_rows(Triplets.from_dense(D), n)
+        D_half = _pair_cols(Triplets.from_dense(D).T, n).T
         S_half = _pair_cols(Triplets.from_dense(S), n)
         ranked[f"d_half_{grade}"] = (D_half, D)
         ranked[f"dstar_half_{grade}"] = (S_half, 0.5 * (S - S_swapped))
-        ranked[f"dstar_d_{grade}"] = (2.0 * (S_half @ D_half), S @ D)
+        ranked[f"dstar_d_{grade}"] = (Triplets.from_dense(S) @ Triplets.from_dense(D), S @ D)
     for name, (part, full) in ranked.items():
         assert Blocks.split(part).rank() == ref_svd_rank(full, 1e-9), name
 

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import GRID, SMALL, algebra, grid_id
+from conftest import GRID, SMALL, algebra, grid_id, ref_brute_force_trace_map
 
 from ahsnormal import normalization
 from ahsnormal.graded_algebra import _pairs
@@ -48,7 +48,6 @@ from ahsnormal.spencer import (
     spencer_dstar,
 )
 from ahsnormal.testkit import (
-    brute_force_trace_map,
     harmonic_sampler,
     random_gamma,
     riemann_projection,
@@ -425,7 +424,7 @@ def test_trace_map_is_codifferential_of_differential(kind, params):
     # The kernel of the map is ker d* d = ker d on grade-1 one-cochains,
     # whose dimension is H21 (im d and ker d* meet only in 0).
     alg = algebra(kind, **params)
-    np.testing.assert_array_equal(trace_map_matrix(alg).dense(), brute_force_trace_map(alg))
+    np.testing.assert_array_equal(trace_map_matrix(alg).dense(), ref_brute_force_trace_map(alg))
     assert uniqueness_certificate(alg)["kernel_dim"] == cohomology_dim(alg, "H21")
 
 

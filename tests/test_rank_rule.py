@@ -13,7 +13,6 @@ from ahsnormal.spencer import (
     Blocks,
     Triplets,
     _pair_cols,
-    _pair_rows,
     d_triplets,
     dstar_triplets,
 )
@@ -42,7 +41,7 @@ def ranked_operators(alg) -> dict[str, np.ndarray]:
     ops = {}
     for grade in (-1, 0):
         D, S = d_triplets(alg, grade + 1), dstar_triplets(alg, grade)
-        ops[f"d_half_{grade}"] = _pair_rows(D, n).dense()
+        ops[f"d_half_{grade}"] = _pair_cols(D.T, n).T.dense()
         ops[f"dstar_half_{grade}"] = _pair_cols(S, n).dense()
         ops[f"dstar_d_{grade}"] = (S @ D).dense()
     sl0 = alg.grade_slice(0)

@@ -5,18 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import SMALL, algebra, grid_id, ref_harmonic_basis
+from conftest import (
+    SMALL,
+    algebra,
+    grid_id,
+    ref_brute_force_trace_map,
+    ref_harmonic_basis,
+    ref_harmonic_decompose,
+)
 
 from ahsnormal.normalization import (
     block_trace_g0,
     oracle_gamma,
     trace_map_matrix,
 )
-from ahsnormal.spencer import TwoCochain, harmonic_decompose, spencer_dstar
+from ahsnormal.spencer import TwoCochain, spencer_dstar
 from ahsnormal.testkit import (
     SampleSpec,
     SYMMETRY_FLAGS,
-    brute_force_trace_map,
     harmonic_sampler,
     random_curvature,
     random_gamma,
@@ -126,7 +132,7 @@ def test_deformation_image_samples_have_no_harmonic_part(kind, params):
     alg = algebra(kind, **params)
     spec = SampleSpec(kind, params, seed=13, symmetry="deformation-image")
     sample = random_curvature(spec)[0]
-    harm, _ = harmonic_decompose(alg, sample.kappa0)
+    harm, _ = ref_harmonic_decompose(alg, sample.kappa0)
     scale = max(1.0, float(np.abs(sample.kappa0.data).max()))
     assert np.abs(harm.data).max() <= 1e-10 * scale
 
@@ -235,7 +241,7 @@ def test_round_trip_sample_pollutes_with_harmonic_data():
 
 def test_brute_force_trace_map_matches_and_solves():
     alg = algebra("grassmannian", p=2, q=2)
-    M = brute_force_trace_map(alg)
+    M = ref_brute_force_trace_map(alg)
     n, _, n1 = alg.dims
     assert M.shape == (n * n, n * n1)
     np.testing.assert_array_equal(M, trace_map_matrix(alg).dense())
@@ -244,6 +250,6 @@ def test_brute_force_trace_map_matches_and_solves():
 
 
 def test_brute_force_trace_map_rank_deficient_on_sl2():
-    M = brute_force_trace_map(algebra("grassmannian", p=1, q=1))
+    M = ref_brute_force_trace_map(algebra("grassmannian", p=1, q=1))
     assert M.shape == (1, 1)
     assert np.linalg.matrix_rank(M, tol=1e-9) == 0
