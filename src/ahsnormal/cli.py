@@ -83,8 +83,20 @@ def _point(args: argparse.Namespace) -> dict:
 
 def _emit(report: dict, output: str | None) -> None:
     """Write the report; a non-finite number raises ValueError, as bare NaN
-    or Infinity tokens are not JSON."""
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    or Infinity tokens are not JSON.
+
+    A top-level 2-d ndarray value is written as its nested list would be,
+    but through json's C encoder: a placeholder stands in for it in the
+    indented dump and is then swapped for the compact list, laid out at
+    indent 2.
+    """
+    arrays = {k: v for k, v in report.items() if isinstance(v, np.ndarray)}
+    marks = {k: f"\0ndarray {k}" for k in arrays}
+    text = json.dumps({**report, **marks}, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    for k, a in arrays.items():
+        rows = json.dumps(a.tolist(), allow_nan=False)[2:-2]
+        rows = rows.replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+        text = text.replace(json.dumps(marks[k]), f"[\n    [\n      {rows}\n    ]\n  ]", 1)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -251,8 +263,8 @@ def cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
     report = {
         "kind": alg.kind,
         "params": dict(alg.params),
-        "gamma": closed.gamma.data.tolist(),
-        "gamma_oracle": oracle.gamma.data.tolist(),
+        "gamma": closed.gamma.data,
+        "gamma_oracle": oracle.gamma.data,
         "max_abs_diff_closed_vs_oracle": diff,
         "residual_trace_norm": residual,
         "method": "closed_form",

@@ -19,7 +19,8 @@ serves as an independent oracle (:func:`cross_check_matrix_rep`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -138,6 +139,10 @@ class GradedLieAlgebra:
 def build_algebra(kind: str, **params) -> GradedLieAlgebra:
     """Build one of the five graded algebras with validated parameters.
 
+    Each point is built once per process and replayed from a sparse recipe
+    after that (:func:`_replay`); every call returns a private object, free
+    to mutate, whose fields equal a fresh build's bit for bit.
+
     Raises:
         ParameterError: unknown kind, missing parameters, or parameters
             outside the structure's validity range.
@@ -155,21 +160,50 @@ def build_algebra(kind: str, **params) -> GradedLieAlgebra:
         if not (1 <= p <= q):
             raise ParameterError(f"grassmannian requires q >= p >= 1, got p = {p}, q = {q}")
         _check_dim(kind, (p + q) ** 2 - 1)
-        return _build_grassmannian(p, q)
+        return _replay(_build_grassmannian, p, q)
     if kind == "projective":
         q = _want_int(params, "q", kind)
         if q < 2:
             raise ParameterError(f"projective requires q >= 2, got q = {q}")
         _check_dim(kind, (q + 1) ** 2 - 1)
-        return _build_projective(q)
+        return _replay(_build_projective, q)
     m = _want_int(params, "m", kind)
     if m < 3:
         raise ParameterError(f"{kind} requires m >= 3, got m = {m}")
     _check_dim(kind, {"conformal": (m + 1) * (m + 2) // 2, "lagrangian": m * (2 * m + 1),
                       "spinorial": m * (2 * m - 1)}[kind])
     if kind == "conformal":
-        return _build_conformal(m)
-    return _build_pair(m, 1 if kind == "lagrangian" else -1)
+        return _replay(_build_conformal, m)
+    return _replay(_build_pair, m, 1 if kind == "lagrangian" else -1)
+
+
+# Sparse recipes by builder and arguments, oldest first.  A recipe holds no
+# dense array: a shared C would be flipped in place by ``verify
+# --debug-mutate`` or would keep its (dim g)^3 entries alive.  The bound must
+# stay at least 5, the distinct algebras of a normalize stream over the five
+# kinds at one point each, or which calls rebuild would depend on their order.
+_RECIPES: dict[tuple, tuple] = {}
+_RECIPE_CACHE_SIZE = 8
+
+
+def _replay(build, *args) -> GradedLieAlgebra:
+    """``build(*args)`` on the first call, then a private replay of its
+    recipe: copies of the fields but C, the shape of C, and the flat
+    positions and values of C's nonzero entries, picked by bit pattern so
+    that a -0.0 entry would keep its sign."""
+    key = (build.__name__, *args)
+    if key not in _RECIPES:
+        alg = build(*args)
+        if len(_RECIPES) >= _RECIPE_CACHE_SIZE:
+            del _RECIPES[next(iter(_RECIPES))]
+        nz = _flat_nonzero(alg.C.view(np.int64))
+        small = {f.name: getattr(alg, f.name) for f in fields(alg) if f.name != "C"}
+        _RECIPES[key] = (copy.deepcopy(small), alg.C.shape, nz, alg.C.ravel()[nz])
+        return alg
+    small, shape, nz, vals = _RECIPES[key]
+    C = np.zeros(shape)
+    C.ravel()[nz] = vals
+    return GradedLieAlgebra(C=C, **copy.deepcopy(small))
 
 
 def _check_dim(kind: str, dim: int) -> None:

@@ -93,10 +93,18 @@ def trace_kappa0(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndarray:
     g_{-1}; this is deliberately a different code path from the Spencer
     codifferential, so the identity ``Tr k = <d* k, .>`` is a genuine
     cross-check between the two.
+
+    The sum runs over the nonzero entries of the action C[g_0, g_{-1}] in
+    C order, one ``np.bincount`` over the (X, Y) slots and no BLAS call; on
+    finite input it equals the dense contraction
+    ``einsum("iac,cbi->ab", kappa0, C[g_0, g_{-1}])`` bit for bit.
     """
     _check_two(alg, kappa0, 0, "kappa0")
     act = alg.block(0, -1)
-    return np.einsum("iac,cbi->ab", kappa0.data, act)
+    n = alg.dims[0]
+    c, b, i = np.nonzero(act != 0.0)
+    terms = act[c, b, i][:, None] * kappa0.data[i, :, c]  # row k: over X, at Y = b[k]
+    return np.bincount((np.arange(n) * n + b[:, None]).ravel(), terms.ravel(), n * n).reshape(n, n)
 
 
 def trace_kappa0_via_dstar(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndarray:

@@ -120,7 +120,6 @@ def test_normalize_conformal_constant_curvature(tmp_path):
 
 def test_normalize_kappa0_input(tmp_path):
     from ahsnormal.normalization import deformation_delta_kappa0
-    from ahsnormal.spencer import OneCochain
     from ahsnormal.testkit import random_gamma
 
     alg = algebra("lagrangian", m=3)
@@ -354,6 +353,47 @@ def test_non_finite_report_is_never_emitted(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "cmd_algebra_info", lambda args: ({"residual": float("nan")}, EXIT_OK))
     assert main(["algebra-info", "--kind", "conformal", "--m", "3"]) == EXIT_INVARIANT
+    assert capsys.readouterr().out == ""
+
+
+SPECIAL_FLOATS = [-0.0, 0.1, 1.0, 1e-5, 1e16, 5e-324, 1.7e308]
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (21, 21)])
+def test_emit_writes_arrays_as_their_nested_lists(shape, capsys):
+    rng = np.random.default_rng(list(shape))
+    for shift in range(len(SPECIAL_FLOATS)):
+        special = np.resize(np.roll(SPECIAL_FLOATS, shift), shape)
+        special *= rng.choice([-1.0, 1.0], shape)
+        scaled = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-300, 300, shape)
+        report = {"kind": "lagrangian", "params": {"m": 3}, "gamma": special,
+                  "gamma_oracle": scaled, "residual_trace_norm": 1e-17,
+                  "metadata": {"gl_block_traces": {"closed_form_reads": "D"}}}
+        lists = {**report, "gamma": special.tolist(), "gamma_oracle": scaled.tolist()}
+        cli._emit(report, None)
+        want = json.dumps(lists, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert capsys.readouterr().out == want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_gamma_exits_invariant_and_writes_nothing(monkeypatch, tmp_path, capsys, bad):
+    real = cli.gamma_closed_form
+
+    def broken(alg, kappa0):
+        closed = real(alg, kappa0)
+        closed.gamma.data[0, -1] = bad
+        return closed
+
+    monkeypatch.setattr(cli, "gamma_closed_form", broken)
+    src = tmp_path / "curv.json"
+    src.write_text(json.dumps({"riemann": constant_curvature(3)}))
+    out = tmp_path / "out.json"
+    argv = ["normalize", "--kind", "projective", "--q", "3", "--input", str(src)]
+    assert main(argv + ["--output", str(out)]) == EXIT_INVARIANT
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+    assert main(argv) == EXIT_INVARIANT
     assert capsys.readouterr().out == ""
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -400,3 +401,117 @@ def test_graded_element_round_trip():
     assert x.z0.shape == (4,)
     assert x.p1.shape == (3,)
     np.testing.assert_array_equal(x.full(), v)
+
+
+# ---------------------------------------------------------------------------
+# build_algebra replays each point from a per-process sparse recipe
+# ---------------------------------------------------------------------------
+
+REPLAY_POINTS = GRID + [("lagrangian", {"m": 8}), ("spinorial", {"m": 8})]
+
+BUILDERS = ("_build_conformal", "_build_grassmannian", "_build_projective", "_build_pair")
+
+
+def fresh_build(kind: str, params: dict):
+    """The kind's private builder run directly, past the recipe cache."""
+    if kind in ("lagrangian", "spinorial"):
+        return graded_algebra._build_pair(params["m"], 1 if kind == "lagrangian" else -1)
+    return getattr(graded_algebra, f"_build_{kind}")(*(params[k] for k in ("p", "q", "m") if k in params))
+
+
+def assert_same_algebra(a, b):
+    """Bit-equal arrays and equal small fields, in separate memory."""
+    assert a is not b and not np.shares_memory(a.C, b.C)
+    for x, y in ((a.C, b.C), (a.pairing, b.pairing)):
+        np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
+    assert a.g0_blocks.keys() == b.g0_blocks.keys()
+    for name in a.g0_blocks:
+        assert not np.shares_memory(a.g0_blocks[name], b.g0_blocks[name])
+        np.testing.assert_array_equal(a.g0_blocks[name].view(np.int64),
+                                      b.g0_blocks[name].view(np.int64))
+    assert (a.kind, a.params, a.dims, a.labels, a.normalizable, a.projective_type) == (
+        b.kind, b.params, b.dims, b.labels, b.normalizable, b.projective_type)
+
+
+@pytest.fixture
+def recipes(monkeypatch):
+    """An empty recipe cache, and a count of private builder runs per point."""
+    monkeypatch.setattr(graded_algebra, "_RECIPES", {})
+    runs: dict[tuple, int] = {}
+    for name in BUILDERS:
+        real = getattr(graded_algebra, name)
+
+        def counting(*args, _real=real, _name=name):
+            runs[(_name, *args)] = runs.get((_name, *args), 0) + 1
+            return _real(*args)
+
+        counting.__name__ = name
+        monkeypatch.setattr(graded_algebra, name, counting)
+    return runs
+
+
+@pytest.mark.parametrize("kind,params", REPLAY_POINTS, ids=grid_id)
+def test_replayed_algebra_equals_a_fresh_build(recipes, kind, params):
+    first = build_algebra(kind, **params)
+    second = build_algebra(kind, **params)
+    assert list(recipes.values()) == [1]
+    assert_same_algebra(first, second)
+    assert_same_algebra(second, fresh_build(kind, params))
+
+
+def mutate_every_field(alg) -> None:
+    alg.C[alg.C != 0.0] *= -1.0
+    alg.pairing[0, 0] = 7.0
+    next(iter(alg.g0_blocks.values()))[0] += 1.0
+    alg.labels[0] = "mutated"
+    alg.params["extra"] = 1
+
+
+@pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
+def test_replayed_algebras_are_independent_copies(recipes, kind, params):
+    clean = fresh_build(kind, params)
+    built = build_algebra(kind, **params)  # the builder's own result
+    mutate_every_field(built)
+    replayed = build_algebra(kind, **params)
+    assert_same_algebra(replayed, clean)
+    mutate_every_field(replayed)
+    assert_same_algebra(build_algebra(kind, **params), clean)
+
+
+def test_one_build_per_point_over_normalize_rounds(recipes, tmp_path):
+    from ahsnormal import cli
+
+    points = [("conformal", {"m": 6}), ("grassmannian", {"p": 4, "q": 4}),
+              ("projective", {"q": 4}), ("lagrangian", {"m": 6}), ("spinorial", {"m": 6})]
+    argvs = []
+    for kind, params in points:
+        n, n0, _ = fresh_build(kind, params).dims
+        src = tmp_path / f"{kind}.json"
+        src.write_text(json.dumps({"kappa0": np.zeros((n, n, n0)).tolist()}))
+        flags = [f"--{k}={v}" for k, v in params.items()]
+        argvs.append(["normalize", "--kind", kind, *flags, "--input", str(src),
+                      "--output", str(tmp_path / "out.json")])
+    graded_algebra._RECIPES.clear()
+    recipes.clear()
+    for _ in range(2):
+        for argv in argvs:
+            assert cli.main(argv) == cli.EXIT_OK
+    assert recipes == {("_build_conformal", 6): 1, ("_build_grassmannian", 4, 4): 1,
+                       ("_build_projective", 4): 1, ("_build_pair", 6, 1): 1,
+                       ("_build_pair", 6, -1): 1}
+
+
+def test_ninth_point_evicts_the_oldest_recipe(recipes):
+    points = [("conformal", {"m": m}) for m in (3, 4, 5)] + [("projective", {"q": q}) for q in (2, 3)]
+    points += [("lagrangian", {"m": 3}), ("spinorial", {"m": 3}), ("grassmannian", {"p": 1, "q": 2})]
+    assert len(points) == graded_algebra._RECIPE_CACHE_SIZE >= 5
+    for kind, params in points:
+        build_algebra(kind, **params)
+    oldest = next(iter(graded_algebra._RECIPES))
+    assert oldest == ("_build_conformal", 3)
+    build_algebra("grassmannian", p=2, q=2)
+    assert len(graded_algebra._RECIPES) == graded_algebra._RECIPE_CACHE_SIZE
+    assert oldest not in graded_algebra._RECIPES
+    build_algebra("conformal", m=3)
+    assert recipes[("_build_conformal", 3)] == 2
+    assert recipes[("_build_projective", 2)] == 1

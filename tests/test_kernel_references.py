@@ -4,14 +4,15 @@ Each reference below is the earlier implementation, kept verbatim: the
 per-basis-vector Jacobi loop and the grade-block Jacobi contraction, the
 unoptimized automorphism contraction, the full-matrix complementarity and
 cohomology ranks, the hand-written z_drop contraction, the loop-built d
-and d* matrices, the unoptimized d* contraction, the whole-matrix SVD
-rank, the whole-matrix oracle solve, the dense-pinv harmonic sampler,
-scipy's matrix exponential, the 2-d ``np.nonzero`` read of a dense matrix,
-the pair-by-pair matrix-realization cross-check and, from conftest, the
-block split with its numbering tables.  Structure constants are
-dyadic rationals, so wherever the arithmetic is exact the two must agree
-bit for bit; the automorphism residual sums random floats in a new order
-and the exponential is a new algorithm, so those get bounds instead.
+and d* matrices, the unoptimized d* contraction, the dense einsum trace of
+kappa0, the whole-matrix SVD rank, the whole-matrix oracle solve, the
+dense-pinv harmonic sampler, scipy's matrix exponential, the 2-d
+``np.nonzero`` read of a dense matrix, the pair-by-pair matrix-realization
+cross-check and, from conftest, the block split with its numbering tables.
+Structure constants are dyadic rationals, so wherever the arithmetic is
+exact the two must agree bit for bit; the automorphism residual sums random
+floats in a new order and the exponential is a new algorithm, so those get
+bounds instead.
 """
 
 from __future__ import annotations
@@ -370,6 +371,23 @@ def test_dstar_on_triplets_matches_einsum_bitwise(kind, params):
             got = spencer_dstar(alg, phi)
             assert got.grade == grade + 1
             assert got.data.tobytes() == ref_spencer_dstar(alg, phi).tobytes()
+
+
+def ref_trace_kappa0(alg, kappa0) -> np.ndarray:
+    act = alg.block(0, -1)
+    return np.einsum("iac,cbi->ab", kappa0.data, act)
+
+
+@pytest.mark.parametrize("kind,params", GRID + LARGE_PAIR[1::2], ids=grid_id)
+def test_sparse_trace_matches_einsum_bitwise(kind, params):
+    alg = algebra(kind, **params)
+    n, n0, _ = alg.dims
+    rng = np.random.default_rng(29)
+    inputs = [TwoCochain(0, np.zeros((n, n, n0)))]
+    inputs += [TwoCochain(0, 10.0 ** e * rng.uniform(-1.0, 1.0, (n, n, n0))) for e in range(-3, 4)]
+    for kappa0 in inputs:
+        got = trace_kappa0(alg, kappa0)
+        np.testing.assert_array_equal(got.view(np.int64), ref_trace_kappa0(alg, kappa0).view(np.int64))
 
 
 @pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)

@@ -45,7 +45,6 @@ from ahsnormal.spencer import (
     cohomology_dim,
     d_triplets,
     spencer_d,
-    spencer_dstar,
 )
 from ahsnormal.testkit import (
     harmonic_sampler,

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import GRID, SMALL, algebra, grid_id, ref_harmonic_decompose, z_flips
 
-from ahsnormal.graded_algebra import faithfulness_ranks, jacobi_residual
+from ahsnormal.graded_algebra import faithfulness_ranks
 from ahsnormal.prolongation_model import (
     FrameChange,
     automorphism_residual,

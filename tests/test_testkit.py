@@ -16,7 +16,6 @@ from conftest import (
 
 from ahsnormal.normalization import (
     block_trace_g0,
-    oracle_gamma,
     trace_map_matrix,
 )
 from ahsnormal.spencer import TwoCochain, spencer_dstar
