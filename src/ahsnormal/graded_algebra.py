@@ -20,6 +20,8 @@ serves as an independent oracle (:func:`cross_check_matrix_rep`).
 from __future__ import annotations
 
 import copy
+import errno
+import mmap
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,9 +40,13 @@ RANK_TOL = 1e-9
 MAX_DIM = 512
 
 # Entries per chunk of the whole-array scans: the largest mask the flat
-# nonzero scan (_flat_nonzero) holds, far below the 56 MB dense Spencer
-# operators, and the matrix entries per batch of cross_check_matrix_rep.
+# nonzero scan (_flat_nonzero) holds, and the matrix entries per batch of
+# cross_check_matrix_rep.
 CHUNK_ENTRIES = 1 << 16
+
+# Size from which numpy advises huge pages for an array's memory, and from
+# which Triplets.dense allocates on small pages instead.
+HUGE_PAGE_ADVICE_BYTES = 4 << 20
 
 
 class ParameterError(ValueError):
@@ -605,7 +611,32 @@ class Triplets:
         return Triplets(self.cols, self.rows, self.vals, self.shape[::-1])
 
     def dense(self) -> np.ndarray:
-        M = np.zeros(self.shape)
+        """The matrix as a writable C-order float64 array.
+
+        From HUGE_PAGE_ADVICE_BYTES on, the zeros are an anonymous ``mmap``
+        advised ``MADV_NOHUGEPAGE``: numpy advises huge pages for arrays that
+        large, so where transparent huge pages are on each nonzero written
+        would make its whole 2 MiB page resident.  A Spencer operator has
+        about one nonzero in a thousand entries, so on 4 KiB pages it costs
+        only the pages its nonzeros touch: at lagrangian m = 8, 141 MB of
+        the 860 MB dense d, all of which huge pages made resident.  Smaller
+        arrays keep ``np.zeros``, which is faster there.  A refused ``mmap``
+        raises MemoryError, as ``np.zeros`` does.
+        """
+        nbytes = self.shape[0] * self.shape[1] * np.dtype(float).itemsize
+        if nbytes < HUGE_PAGE_ADVICE_BYTES:
+            M = np.zeros(self.shape)
+        else:
+            try:
+                buf = mmap.mmap(-1, nbytes)
+            except OSError as err:
+                if err.errno == errno.ENOMEM:
+                    raise MemoryError(str(err)) from err
+                raise
+            advice = getattr(mmap, "MADV_NOHUGEPAGE", None)  # Linux only
+            if advice is not None:
+                buf.madvise(advice)
+            M = np.frombuffer(buf, float).reshape(self.shape)
         M[self.rows, self.cols] = self.vals
         return M
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _pair_table, _pairs
-from .spencer import (OneCochain, TwoCochain, _check_one, _check_two, d_triplets,
-                      dstar_triplets, spencer_d, spencer_dstar)
+from .spencer import (OneCochain, TwoCochain, _check_one, _check_two, _complex,
+                      d_triplets, dstar_triplets, spencer_d, spencer_dstar)
 
 # Fixed thresholds, each relative to max(1, largest entry), of
 # fiber_constancy_check, torsion_is_harmonic and oracle_gamma's solve.
@@ -378,38 +378,21 @@ def trace_map_matrix(alg: GradedLieAlgebra) -> Triplets:
     return Triplets(M.rows, M.cols, np.diag(alg.pairing)[M.rows % alg.dims[2]] * M.vals, M.shape)
 
 
-# Factored trace maps by content key, oldest first.  The bound must stay at
-# least 5, the number of distinct algebras in a stream of normalize calls
-# over the five kinds at one point each: with fewer, which calls rebuild the
-# map would depend on the order the calls arrive in.
-_TRACE_MAP_CACHE: dict[tuple, tuple[Triplets, Blocks, int]] = {}
-_TRACE_MAP_CACHE_SIZE = 8
-
-
 def _trace_map_inverse(alg: GradedLieAlgebra) -> tuple[Triplets, Blocks, int]:
     """The trace map's triplets, their block pseudo-inverse and the rank.
 
-    Factored once per algebra content: the key holds all that
-    :func:`trace_map_matrix` reads, namely the dims, the pairing diagonal
-    and the nonzero positions and values of C[g_1, g_{-1}] and C[g_1, g_0]
-    (both triplet builders skip zeros of either sign).  An algebra whose
-    structure constants change therefore never gets a stale factorization.
-    The returned arrays are shared and read-only.
+    Factored once per algebra content, as a part of the algebra's cached
+    Spencer complex (:func:`ahsnormal.spencer._complex`), whose key holds
+    all that :func:`trace_map_matrix` reads; an algebra whose structure
+    constants change therefore never gets a stale factorization.  The
+    returned arrays are shared and read-only.
     """
-    key = (tuple(alg.dims), np.diag(alg.pairing).tobytes())
-    for B in (alg.block(1, -1), alg.block(1, 0)):
-        nz = np.flatnonzero(B)
-        key += (nz.tobytes(), B[np.unravel_index(nz, B.shape)].tobytes())
-    hit = _TRACE_MAP_CACHE.get(key)
-    if hit is None:
+
+    def factor():
         M = trace_map_matrix(alg)
-        Minv, rank = Blocks.split(M).pinv()
-        for array in (M.rows, M.cols, M.vals, *(x for group in Minv.groups for x in group)):
-            array.flags.writeable = False
-        if len(_TRACE_MAP_CACHE) >= _TRACE_MAP_CACHE_SIZE:
-            del _TRACE_MAP_CACHE[next(iter(_TRACE_MAP_CACHE))]
-        hit = _TRACE_MAP_CACHE[key] = (M, Minv, rank)
-    return hit
+        return (M, *Blocks.split(M).pinv())
+
+    return _complex(alg).part("trace_map", factor)
 
 
 def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor:

@@ -196,6 +196,88 @@ def _pair_cols(S: Triplets, n: int) -> Triplets:
     )
 
 
+# The parts of the Spencer complexes by algebra content, oldest first (see
+# _complex).  The bound must stay at least 5, the number of distinct algebras
+# in a stream of normalize calls over the five kinds at one point each: with
+# fewer, which calls rebuild the trace map would depend on the order the
+# calls arrive in.
+_COMPLEXES: dict[tuple, dict] = {}
+_COMPLEXES_SIZE = 8
+
+
+def _freeze(value) -> None:
+    """Make every array in ``value`` (nested in tuples, lists, Triplets and
+    Blocks) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (Triplets, Blocks)):
+        _freeze(list(vars(value).values()))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+
+
+class _Complex:
+    """The Spencer complex of one algebra: its triplets, ranks and block
+    pseudo-inverses, each made on first use and kept in ``parts``, the
+    cached dict of the algebra's content (:func:`_complex`).  Parts are
+    shared, so their arrays are read-only; none is a dense operator."""
+
+    def __init__(self, alg: GradedLieAlgebra, parts: dict):
+        self.alg, self.parts = alg, parts
+
+    def part(self, name, build):
+        if name not in self.parts:
+            value = build()
+            _freeze(value)
+            self.parts[name] = value
+        return self.parts[name]
+
+    def d(self, one_grade: int) -> Triplets:
+        return self.part(("d", one_grade), lambda: d_triplets(self.alg, one_grade))
+
+    def dstar(self, two_grade: int) -> Triplets:
+        return self.part(("dstar", two_grade), lambda: dstar_triplets(self.alg, two_grade))
+
+    def d_rank(self, one_grade: int) -> int:
+        """Rank of d, read off its a < b rows."""
+        n = self.alg.dims[0]
+        return self.part(("d_rank", one_grade),
+                         lambda: Blocks.split(_pair_cols(self.d(one_grade).T, n)).rank())
+
+    def dstar_rank(self, two_grade: int) -> int:
+        """Rank of d* precomposed with the alternation."""
+        n = self.alg.dims[0]
+        return self.part(("dstar_rank", two_grade),
+                         lambda: Blocks.split(_pair_cols(self.dstar(two_grade), n)).rank())
+
+    def dstar_d_pinv(self, two_grade: int) -> tuple[Blocks, int]:
+        """pinv(d* d) around grade-``two_grade`` two-cochains, block by block, and its rank."""
+        return self.part(("dstar_d", two_grade), lambda: Blocks.split(
+            self.dstar(two_grade) @ self.d(two_grade + 1)).pinv())
+
+
+def _complex(alg: GradedLieAlgebra) -> _Complex:
+    """The Spencer complex of ``alg``, on the parts cached for its content.
+
+    The key holds all that the parts read: the dims, the pairing diagonal
+    and the nonzero positions and values of C[g_0, g_{-1}], C[g_1, g_{-1}]
+    and C[g_1, g_0] (the triplet builders skip zeros of either sign).  An
+    algebra whose structure constants change therefore never gets a stale
+    part.
+    """
+    key = (tuple(alg.dims), np.diag(alg.pairing).tobytes())
+    for B in (alg.block(0, -1), alg.block(1, -1), alg.block(1, 0)):
+        nz = np.flatnonzero(B)
+        key += (nz.tobytes(), B[np.unravel_index(nz, B.shape)].tobytes())
+    parts = _COMPLEXES.get(key)
+    if parts is None:
+        if len(_COMPLEXES) >= _COMPLEXES_SIZE:
+            del _COMPLEXES[next(iter(_COMPLEXES))]
+        parts = _COMPLEXES[key] = {}
+    return _Complex(alg, parts)
+
+
 def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
     """Verify Lambda^2 g_{-1}^* (x) g_j = im(d) (+) ker(d*) at grade j.
 
@@ -212,24 +294,30 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
     a < b, by :func:`_pair_cols` on d transposed and on d*: the (b, a)
     rows of d are the negatives of its (a, b) rows and its (a, a) rows
     vanish, so the a < b rows carry its rank.  d* d is the product of the
-    full operators.  The dense operators come from :func:`d_matrix` and
-    :func:`dstar_matrix` because the benchmark's tracer
-    (``perfbench/tracing.py``) counts and sizes those two calls here; they
-    are dropped once their nonzeros are read, every product is taken on
-    triplets, and each rank is :meth:`Blocks.rank`.
+    full operators.  Every rank is :meth:`Blocks.rank` on triplets (that
+    of d* d comes with its pseudo-inverse), taken once per algebra in its
+    cached Spencer complex (:func:`_complex`) and shared with
+    :func:`cohomology_dim` and :func:`_hodge_parts`.
+
+    The dense :func:`d_matrix` and :func:`dstar_matrix` are built here only
+    because the benchmark's tracer (``perfbench/tracing.py``) counts and
+    sizes those two calls here.  Nothing reads them: each is built on small
+    pages (:meth:`Triplets.dense`) and dropped at once, one at a time, so
+    the two are never held together.
 
     Returns:
         dict with dim_image_d, dim_kernel_dstar, intersection_dim,
         total_dim, complementary.
     """
+    d_matrix(alg, two_grade + 1)
+    dstar_matrix(alg, two_grade)
     n = alg.dims[0]
     nv = _value_dim(alg, two_grade)
     total = (n * (n - 1) // 2) * nv
-    D = Triplets.from_dense(d_matrix(alg, two_grade + 1))
-    S = Triplets.from_dense(dstar_matrix(alg, two_grade))
-    r_im = Blocks.split(_pair_cols(D.T, n)).rank()
-    inter = r_im - Blocks.split(S @ D).rank()
-    r_ker = total - Blocks.split(_pair_cols(S, n)).rank()
+    cx = _complex(alg)
+    r_im = cx.d_rank(two_grade + 1)
+    inter = r_im - cx.dstar_d_pinv(two_grade)[1]
+    r_ker = total - cx.dstar_rank(two_grade)
     return {
         "dim_image_d": r_im,
         "dim_kernel_dstar": r_ker,
@@ -248,23 +336,25 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str) -> int:
     into that spot because the grading stops at g_1.  The rank of d is
     read off its a < b rows, ``_pair_cols(D.T, n)`` as in
     :func:`complementarity_check`, and every rank, that of ad included, is
-    :meth:`Blocks.rank`.  The closure of the ad image is checked exactly:
-    any nonzero entry of d ad raises.
+    :meth:`Blocks.rank`, each taken once per algebra in its cached Spencer
+    complex.  The closure of the ad image is checked exactly: any nonzero
+    entry of d ad raises.
     """
     n, n0, n1 = alg.dims
+    cx = _complex(alg)
     if level == "H11":
-        D, ad = d_triplets(alg, 0), _ad_g1(alg)
-        if (D @ ad).vals.size:
+        ad = _ad_g1(alg)
+        if (cx.d(0) @ ad).vals.size:
             raise AssertionError("ad image is not d-closed; structure tensor corrupt")
-        return n * n0 - Blocks.split(_pair_cols(D.T, n)).rank() - Blocks.split(ad).rank()
+        return n * n0 - cx.d_rank(0) - cx.part("ad_rank", lambda: Blocks.split(ad).rank())
     if level == "H21":
-        return n * n1 - Blocks.split(_pair_cols(d_triplets(alg, 1).T, n)).rank()
+        return n * n1 - cx.d_rank(1)
     raise ValueError(f"level must be 'H11' or 'H21', got {level!r}")
 
 
 def _hodge_parts(alg: GradedLieAlgebra, grade: int) -> tuple[Triplets, Blocks, Triplets]:
     """Sparse d and d* around grade-``grade`` two-cochains, and pinv(d* d) taken
-    block by block: the harmonic part of t is t - D @ (P @ (S @ t))."""
-    D, S = d_triplets(alg, grade + 1), dstar_triplets(alg, grade)
-    P, _ = Blocks.split(S @ D).pinv()
-    return D, P, S
+    block by block, shared through the algebra's cached Spencer complex: the
+    harmonic part of t is t - D @ (P @ (S @ t))."""
+    cx = _complex(alg)
+    return cx.d(grade + 1), cx.dstar_d_pinv(grade)[0], cx.dstar(grade)

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 import pytest
 
-from ahsnormal import build_algebra, normalization
+from ahsnormal import build_algebra, normalization, spencer
 from ahsnormal.graded_algebra import Blocks, Triplets, _pairs, rank_cutoff
 from ahsnormal.normalization import deformation_delta_kappa0, trace_kappa0
 from ahsnormal.spencer import (
@@ -94,7 +94,7 @@ def trace_map_builds(monkeypatch):
         return real(alg)
 
     monkeypatch.setattr(normalization, "trace_map_matrix", counting)
-    normalization._TRACE_MAP_CACHE.clear()
+    spencer._COMPLEXES.clear()
     return builds
 
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 
 from conftest import VERIFY_GRID, algebra
 
-from ahsnormal import cli, spencer
+from ahsnormal import cli, graded_algebra, spencer
 from ahsnormal.cli import (
     EXIT_INVARIANT,
     EXIT_NONUNIQUE,
@@ -291,6 +293,18 @@ def test_point_beyond_memory_exits_validation(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_refused_small_page_mapping_exits_with_the_memory_line(monkeypatch, capsys):
+    # mmap reports a refused request as OSError(ENOMEM), not MemoryError
+    def refuse(*_):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(graded_algebra, "mmap", types.SimpleNamespace(mmap=refuse))
+    assert main(["verify", "--kind", "lagrangian", "--m", "6"]) == EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: the requested point exceeds the memory available\n"
 
 
 def test_normalize_rejects_non_finite_curvature(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import GRID, SMALL, algebra, grid_id, ref_brute_force_trace_map
 
-from ahsnormal import normalization
+from ahsnormal import normalization, spencer
 from ahsnormal.graded_algebra import _pairs
 from ahsnormal.normalization import (
     NonUniquenessError,
@@ -43,6 +43,7 @@ from ahsnormal.spencer import (
     OneCochain,
     TwoCochain,
     cohomology_dim,
+    complementarity_check,
     d_triplets,
     spencer_d,
 )
@@ -448,7 +449,7 @@ def test_trace_map_cache_changes_no_answer(kind, params, trace_map_builds):
     warm = _solve(alg, k0)
     warm_kernel = uniqueness_certificate(alg)["kernel_dim"]
     assert len(trace_map_builds) == 1
-    normalization._TRACE_MAP_CACHE.clear()
+    spencer._COMPLEXES.clear()
     assert _solve(alg, k0) == warm
     assert len(trace_map_builds) == 2
     if alg.normalizable:
@@ -466,37 +467,56 @@ def _bumped(alg, gx, gy):
     return dataclasses.replace(alg, C=C)
 
 
+def _spencer_answers(alg):
+    """complementarity_check, cohomology_dim (or its refusal) and a harmonic
+    draw, at every grade."""
+    def h(level):
+        try:
+            return cohomology_dim(alg, level)
+        except AssertionError as err:  # a broken copy's ad image is not d-closed
+            return str(err)
+
+    return ([complementarity_check(alg, grade) for grade in (-1, 0)], [h("H11"), h("H21")],
+            [harmonic_sampler(alg, grade)(np.random.default_rng(1503)).data.tobytes()
+             for grade in (-1, 0)])
+
+
 def test_trace_map_cache_keys_on_content(trace_map_builds):
     alg = algebra("grassmannian", p=2, q=3)
     k0 = random_kappa0(alg, np.random.default_rng(1502))
     pairing = alg.pairing.copy()
     pairing[1, 1] += 2.0**-40
-    copies = [_bumped(alg, 1, -1), _bumped(alg, 1, 0), dataclasses.replace(alg, pairing=pairing)]
+    copies = [_bumped(alg, 1, -1), _bumped(alg, 1, 0), _bumped(alg, 0, -1),
+              dataclasses.replace(alg, pairing=pairing)]
     _solve(alg, k0)
+    intact = _spencer_answers(alg)
     for changed in copies:
         first = _solve(changed, k0)  # alg and the earlier copies are cached
         assert trace_map_builds[-1] is changed
         assert first != _solve(alg, k0)
-        normalization._TRACE_MAP_CACHE.clear()
+        warm = _spencer_answers(changed)
+        assert warm[2] != intact[2]
+        spencer._COMPLEXES.clear()
         assert _solve(changed, k0) == first
+        assert _spencer_answers(changed) == warm
         _solve(alg, k0)
-    assert len(trace_map_builds) == 1 + 3 * 3
+    assert len(trace_map_builds) == 1 + 4 * 3
 
 
 def test_trace_map_cache_is_bounded(trace_map_builds):
     # at least the five kinds of a normalize stream fit, so its builds do not
     # depend on the order of its requests
-    bound = normalization._TRACE_MAP_CACHE_SIZE
+    bound = spencer._COMPLEXES_SIZE
     assert bound >= 5
     algs = [algebra(kind, **params) for kind, params in GRID[: bound + 2]]
     for alg in algs:
         uniqueness_certificate(alg)
-    assert len(normalization._TRACE_MAP_CACHE) == bound
+    assert len(spencer._COMPLEXES) == bound
     uniqueness_certificate(algs[-1])  # newest kept
     assert len(trace_map_builds) == bound + 2
     uniqueness_certificate(algs[0])  # oldest evicted first
     assert trace_map_builds[-1] is algs[0]
-    assert len(normalization._TRACE_MAP_CACHE) == bound
+    assert len(spencer._COMPLEXES) == bound
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import GRID, SMALL, algebra, grid_id, ref_harmonic_decompose
+from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id, ref_harmonic_decompose
+from test_kernel_references import ref_d_matrix, ref_dstar_matrix
 
+from ahsnormal import cli, spencer
+from ahsnormal.graded_algebra import HUGE_PAGE_ADVICE_BYTES, Blocks
 from ahsnormal.spencer import (
     OneCochain,
     TwoCochain,
@@ -89,6 +98,54 @@ def test_dstar_matrix_matches_function(kind, params, grade):
     direct = spencer_dstar(alg, phi).data
     via = (S @ phi.data.reshape(-1)).reshape(direct.shape)
     np.testing.assert_allclose(via, direct, atol=1e-13)
+
+
+# The verify grid, whose dense operators are all below the huge-page line
+# but lagrangian m = 5's, and lagrangian m = 6, whose four are all above it.
+DENSE_POINTS = list(VERIFY_GRID) + [("lagrangian", {"m": 6})]
+
+
+@pytest.mark.parametrize("kind,params", DENSE_POINTS, ids=grid_id)
+def test_dense_operators_match_loop_builders(kind, params):
+    alg = algebra(kind, **params)
+    for build, ref, grades in ((d_matrix, ref_d_matrix, (0, 1)),
+                               (dstar_matrix, ref_dstar_matrix, (-1, 0))):
+        for grade in grades:
+            M = build(alg, grade)
+            assert M.dtype == np.float64
+            assert M.flags.c_contiguous and M.flags.writeable
+            np.testing.assert_array_equal(M, ref(alg, grade))
+
+
+def test_dense_points_lie_on_both_sides_of_the_huge_page_line():
+    sizes = {(kind, grid_id(params)): d_matrix(algebra(kind, **params), 1).nbytes
+             for kind, params in DENSE_POINTS}
+    assert sizes[("lagrangian", "5")] >= HUGE_PAGE_ADVICE_BYTES
+    assert sizes[("lagrangian", "6")] >= HUGE_PAGE_ADVICE_BYTES
+    assert min(sizes.values()) < HUGE_PAGE_ADVICE_BYTES
+
+
+# Run by a bare interpreter, since a child's peak RSS starts from that of
+# the process it was forked from; verify's report goes to /dev/null.
+PEAK_RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "ahsnormal", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_dense_operators_cost_only_their_touched_pages():
+    # backed by huge pages, the dense operators made this run peak at 278 MB;
+    # on small pages it peaks at about 116 MB
+    argv = ["verify", "--kind", "lagrangian", "--m", "7"]
+    probe = subprocess.run([sys.executable, "-c", PEAK_RSS_PROBE, *argv],
+                           capture_output=True, text=True, check=True)
+    code, maxrss = map(int, probe.stdout.split())
+    assert code == 0
+    assert maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10) < 200
 
 
 def test_two_cochain_alternates_input():
@@ -243,3 +300,72 @@ def test_dstar_equivariance(kind, params, grade):
     lhs = spencer_dstar(alg, ref_g0_action_two_cochain(alg, A, phi))
     rhs = ref_g0_action_one_cochain(alg, A, spencer_dstar(alg, phi))
     np.testing.assert_allclose(lhs.data, rhs.data, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one Spencer complex per algebra
+# ---------------------------------------------------------------------------
+
+
+def _split_calls(monkeypatch, argv) -> int:
+    """``Blocks.split`` calls of one in-process CLI run on an empty cache."""
+    calls = []
+    split = Blocks.split.__func__
+
+    def counting(cls, A):
+        calls.append(A.shape)
+        return split(cls, A)
+
+    monkeypatch.setattr(Blocks, "split", classmethod(counting))
+    spencer._COMPLEXES.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return len(calls)
+
+
+def test_one_split_per_operator(monkeypatch):
+    # per point: three structural splits, the a < b forms of d at grades 0
+    # and 1 and of d* at grades -1 and 0, d* d at grades -1 and 0, ad and
+    # the trace map, each once
+    assert _split_calls(monkeypatch, ["verify", "--kind", "lagrangian", "--m", "4"]) == 11
+    assert _split_calls(monkeypatch, ["verify"]) == 187
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(list(vars(value).values()))
+
+
+def test_complex_parts_are_read_only_and_sparse():
+    spencer._COMPLEXES.clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify", "--kind", "lagrangian", "--m", "4", "--samples", "1"]) == 0
+    (parts,) = spencer._COMPLEXES.values()
+    arrays = list(_arrays(list(parts.values())))
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    alg = algebra("lagrangian", m=4)
+    smallest_dense = min(d_matrix(alg, 0).nbytes, d_matrix(alg, 1).nbytes)
+    assert sum(a.nbytes for a in arrays) < smallest_dense / 4
+
+
+def _report(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return f"{out.getvalue()}exit {code}"
+
+
+def test_debug_mutate_report_does_not_depend_on_the_cache():
+    mutated = ["verify", "--kind", "lagrangian", "--m", "4", "--samples", "1", "--debug-mutate"]
+    intact = mutated[:-1]
+    spencer._COMPLEXES.clear()
+    cold = _report(mutated), _report(intact)
+    spencer._COMPLEXES.clear()
+    intact_first = _report(intact)
+    assert (_report(mutated), intact_first) == cold
+    assert cold[0].endswith("exit 4") and cold[1].endswith("exit 0")
