@@ -10,10 +10,8 @@ closed-form trace formulas and through an independent linear-solve oracle.
 
 from .graded_algebra import (
     KINDS,
-    GradedElement,
     GradedLieAlgebra,
     ParameterError,
-    ad_exp,
     build_algebra,
     center_dim,
     cross_check_matrix_rep,
@@ -26,10 +24,8 @@ from .graded_algebra import (
 
 __all__ = [
     "KINDS",
-    "GradedElement",
     "GradedLieAlgebra",
     "ParameterError",
-    "ad_exp",
     "build_algebra",
     "center_dim",
     "cross_check_matrix_rep",

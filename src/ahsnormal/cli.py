@@ -51,7 +51,6 @@ from .prolongation_model import (
     z_drop_residual,
 )
 from .spencer import (
-    OneCochain,
     TwoCochain,
     cohomology_dim,
     complementarity_check,
@@ -249,12 +248,16 @@ def cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError("curvature file must hold a JSON object")
-    kappa0, meta = _load_kappa0(alg, payload)
-    closed = gamma_closed_form(alg, kappa0)
-    oracle = oracle_gamma(alg, kappa0)
-    diff = float(np.abs(closed.gamma.data - oracle.gamma.data).max())
-    kbar = TwoCochain(0, kappa0.data - deformation_delta_kappa0(alg, closed.gamma).data)
-    residual = float(np.abs(trace_kappa0(alg, kbar)).max())
+    # from finite input, overflow is the only way to inf or NaN here (no step
+    # divides by data): main refuses it with exit 2, while a non-finite value
+    # that a broken step makes still ends as an invariant failure, exit 4
+    with np.errstate(over="raise"):
+        kappa0, meta = _load_kappa0(alg, payload)
+        closed = gamma_closed_form(alg, kappa0)
+        oracle = oracle_gamma(alg, kappa0)
+        diff = float(np.abs(closed.gamma.data - oracle.gamma.data).max())
+        kbar = TwoCochain(0, kappa0.data - deformation_delta_kappa0(alg, closed.gamma).data)
+        residual = float(np.abs(trace_kappa0(alg, kbar)).max())
     if alg.kind == "grassmannian":
         meta["gl_block_traces"] = {
             "closed_form_reads": "D",
@@ -273,7 +276,7 @@ def cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
         "metadata": meta,
     }
     scale = max(1.0, float(np.abs(kappa0.data).max()))
-    if diff > args.tolerance * scale or residual > args.tolerance * scale:
+    if not (diff <= args.tolerance * scale and residual <= args.tolerance * scale):
         return report, EXIT_INVARIANT
     return report, EXIT_OK
 
@@ -524,6 +527,9 @@ def main(argv: list[str] | None = None) -> int:
         # json.load of input nested deeper than the interpreter's stack allows
         sys.stderr.write("error: input nested too deeply\n")
         return EXIT_VALIDATION
+    except FloatingPointError:
+        sys.stderr.write("error: input overflows float64 arithmetic\n")
+        return EXIT_VALIDATION
     except MemoryError:
         sys.stderr.write("error: the requested point exceeds the memory available\n")
         return EXIT_VALIDATION
@@ -535,8 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:  # a failure only the write reveals
         return _cannot_write(err)
     except ValueError as err:
-        # validated input never yields NaN or infinity; a report that does
-        # holds a broken computation, not a bad request
+        # normalize refuses input whose arithmetic overflows, so a report
+        # that holds NaN or infinity comes from a broken computation, not a
+        # bad request
         sys.stderr.write(f"error: report holds a non-finite number ({err})\n")
         return EXIT_INVARIANT
     return code

@@ -53,23 +53,6 @@ class ParameterError(ValueError):
     """Raised when structure-kind parameters are outside the valid range."""
 
 
-@dataclass
-class GradedElement:
-    """An element of g split into its graded components (coordinate vectors)."""
-
-    m1: np.ndarray
-    z0: np.ndarray
-    p1: np.ndarray
-
-    def full(self) -> np.ndarray:
-        return np.concatenate([self.m1, self.z0, self.p1])
-
-    @staticmethod
-    def from_full(alg: "GradedLieAlgebra", v: np.ndarray) -> "GradedElement":
-        n, n0, _ = alg.dims
-        return GradedElement(v[:n].copy(), v[n : n + n0].copy(), v[n + n0 :].copy())
-
-
 @dataclass(eq=False)
 class GradedLieAlgebra:
     """A |1|-graded semisimple Lie algebra in a fixed ordered basis.
@@ -819,23 +802,6 @@ def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
         "g0_on_gm1": (Blocks.split(act).rank(), n0),
         "g1_to_hom": (Blocks.split(_ad_g1(alg)).rank(), n1),
     }
-
-
-def ad_exp(alg: GradedLieAlgebra, Z: np.ndarray, x: GradedElement) -> GradedElement:
-    """Adjoint action of exp(Z), Z in g_1, as the exact finite series.
-
-    ad(Z) raises the grade, so ad(Z)^3 = 0 on every element and the
-    exponential series terminates after the quadratic term.
-    """
-    n, n0, n1 = alg.dims
-    zfull = np.zeros(alg.n_total)
-    zfull[alg.grade_slice(1)] = Z
-    acc = x.full()
-    term = acc
-    for k in (1, 2):
-        term = alg.bracket_full(zfull, term) / k
-        acc = acc + term
-    return GradedElement.from_full(alg, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -50,27 +50,6 @@ class NonUniquenessError(RuntimeError):
 
 
 @dataclass
-class CurvatureData:
-    """Curvature input for normalization.
-
-    Either grade component may be absent.  For the conformal and projective
-    kinds a raw Riemann tensor R[i, j, k, l] (endomorphism indices first),
-    its Ricci contraction, and the scalar curvature may be carried along.
-    ``torsion_free`` records whether the raw tensor is expected to satisfy
-    the first Bianchi identity.
-    """
-
-    kind: str
-    params: dict
-    kappa_m1: TwoCochain | None = None
-    kappa0: TwoCochain | None = None
-    riemann: np.ndarray | None = None
-    ricci: np.ndarray | None = None
-    scalar: float | None = None
-    torsion_free: bool = False
-
-
-@dataclass
 class DeformationTensor:
     """The grade-1 one-cochain Gamma with bookkeeping."""
 
@@ -181,9 +160,10 @@ def gamma_conformal(m: int, ricci: np.ndarray, scalar: float) -> DeformationTens
     """Conformal deformation tensor from Ricci data.
 
     Gamma_ij = -1/(m-2) * (Ric_ij - delta_ij * scalar / (2(m-1))), applied
-    entrywise.  The inversion is exact when the Ricci data is symmetric
-    (which holds for curvature operators built from torsion-free, Bianchi
-    respecting Riemann tensors).
+    entrywise: Gamma = -P, minus the Schouten tensor, and the normalized
+    curvature is the embedded Weyl tensor W = R - P (.) g.  The inversion
+    is exact when the Ricci data is symmetric (which holds for curvature
+    operators built from torsion-free, Bianchi respecting Riemann tensors).
     """
     if m < 3:
         raise NonUniquenessError(f"conformal trace inversion needs m >= 3, got {m}")
@@ -198,10 +178,10 @@ def gamma_projective(q: int, riemann: np.ndarray) -> DeformationTensor:
     """Projective deformation tensor from a Riemann-type tensor R[i, j, k, l].
 
     Writing Ric for the contraction R[l, j, l, k], the tensor is
-    Gamma_jk = (Ric_jk + q * Ric_kj) / (q^2 - 1).  On data with symmetric
-    Ricci this reduces to the familiar (q - 1)-denominator expression; the
-    antisymmetric part's coefficient is fixed by the trace-map inversion and
-    is validated against the linear-solve oracle.
+    Gamma_jk = (Ric_jk + q * Ric_kj) / (q^2 - 1).  This is Gamma = P, the
+    projective Schouten tensor Ric_sym / (q - 1) - Ric_alt / (q + 1), and
+    the normalized curvature is the embedded projective Weyl tensor
+    W^a_bkl = R^a_bkl - delta^a_k P_lb + delta^a_l P_kb + delta^a_b (P_kl - P_lk).
     """
     if q < 2:
         raise NonUniquenessError(f"projective trace inversion needs q >= 2, got {q}")
@@ -339,6 +319,9 @@ def gamma_closed_form(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationT
 def curvature_from_riemann(alg: GradedLieAlgebra, R: np.ndarray) -> TwoCochain:
     """Embed a Riemann-type tensor R[i, j, k, l] as a grade-0 two-cochain.
 
+    R[a, b, k, l] is read as R^a_{bkl}: the endomorphism indices (a, b)
+    come first and the two-form indices (k, l) last, so the Ricci
+    contraction (:func:`ricci_from_riemann`) is Ric_bl = R^a_{bal}.
     kappa0(x_k, x_l) is the g_0 element acting on g_{-1} as -R(x_k, x_l)
     for the conformal kind and +R(x_k, x_l) for the projective kind; the
     signs are pinned by the constant-curvature spot values and recorded in
@@ -426,7 +409,7 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor
     x = Minv @ b
     residual = float(np.abs(M @ x - b).max())
     scale = max(1.0, float(np.abs(b).max()))
-    if residual > ORACLE_RESIDUAL_TOL * scale:
+    if not residual <= ORACLE_RESIDUAL_TOL * scale:  # NaN fails too
         raise ValueError(f"trace data outside the range of the trace map (residual {residual:.3e})")
     return DeformationTensor(alg.kind, dict(alg.params), OneCochain(1, x.reshape(n, n1)), "oracle")
 

@@ -7,16 +7,12 @@ factor alone.  This module realizes those statements on the graded algebra:
 
 * :class:`FrameChange` packages a group element b = b0 exp(Z) by the adjoint
   matrices of b0 on the three graded pieces together with the g_1 vector Z;
-* :func:`torsion_change` is the connection-change shift t -> t - d(psi);
 * :func:`torsion_equivariance` is the b0-action on torsion; the exp(Z)
   factor acts trivially because [[Z, X], Y] - [[Z, Y], X] = 0 for X, Y in
   the abelian part g_{-1} (a Jacobi identity consequence, verified exactly);
 * :func:`second_torsion_reduction` recovers the free g_0-valued component
   of the next level's torsion from its values on all of (g_{-1} + g_0),
-  which are forced to a projected bracket off the g_{-1} pairs;
-* :func:`flat_structure_function` is the structure function of the flat
-  model, which is the Lie bracket itself, optionally shifted by a grade-0
-  curvature on the g_{-1} pairs.
+  which are forced to a projected bracket off the g_{-1} pairs.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from .spencer import (
     _check_one,
     _check_two,
     d_triplets,
-    spencer_d,
 )
 
 # second_torsion_reduction's bound on its residuals, relative to max(1, max|input|)
@@ -72,11 +67,6 @@ class FrameChange:
     ad_0: np.ndarray
     ad_p1: np.ndarray
     Z: np.ndarray
-
-    @staticmethod
-    def identity(alg: GradedLieAlgebra) -> "FrameChange":
-        n, n0, n1 = alg.dims
-        return FrameChange(np.eye(n), np.eye(n0), np.eye(n1), np.zeros(n1))
 
     @staticmethod
     def from_g0(
@@ -130,17 +120,6 @@ def group_action_two_cochain(
     Bval = fc.ad_m1 if t.grade == -1 else fc.ad_0
     data = np.einsum("ua,vb,uvw,kw->abk", Binv, Binv, t.data, Bval, optimize=True)
     return TwoCochain(t.grade, data)
-
-
-def torsion_change(alg: GradedLieAlgebra, t: TwoCochain, psi: OneCochain) -> TwoCochain:
-    """Torsion after a connection change by psi: t - d(psi).
-
-    The harmonic part of the torsion (its structure-function class) is
-    unchanged because the shift lies in the image of the differential.
-    """
-    _check_two(alg, t, -1, "t")
-    _check_one(alg, psi, 0, "psi")
-    return TwoCochain(-1, t.data - spencer_d(alg, psi).data)
 
 
 def z_drop_residual(alg: GradedLieAlgebra) -> float:
@@ -246,21 +225,3 @@ def second_torsion_reduction(alg: GradedLieAlgebra, full: np.ndarray) -> tuple[T
             f"alternation residual {alternation:.3e})"
         )
     return TwoCochain(0, full[:n, :n, n:].copy()), report
-
-
-def flat_structure_function(
-    alg: GradedLieAlgebra, kappa0: TwoCochain | None = None
-) -> np.ndarray:
-    """Structure function of the flat model: the Lie bracket itself.
-
-    With a grade-0 curvature supplied, the result is bracket + kappa0 on the
-    g_{-1} pairs, i.e. the structure function of a model with that curvature.
-    Returned as a dense (N, N, N) coefficient array in the algebra's basis.
-    """
-    S = alg.C.copy()
-    if kappa0 is not None:
-        _check_two(alg, kappa0, 0, "kappa0")
-        n = alg.dims[0]
-        S[:n, :n, alg.grade_slice(0)] += kappa0.data
-    return S
-

@@ -1,93 +1,19 @@
-"""Deterministic sample generators and brute-force oracles.
+"""Deterministic sample generators.
 
-Shared by the test suite and the CLI ``verify`` subcommand.  Every sample
-stream is a pure function of a 64-bit seed via ``numpy.random.default_rng``,
-and symmetry-class membership is enforced by explicit projection after
+Shared by the test suite and the CLI ``verify`` subcommand.  Every sample is
+a pure function of the ``numpy.random.Generator`` passed in, and
+symmetry-class membership is enforced by explicit projection after
 sampling, so membership is exact regardless of generator quality.
-
-Symmetry flags understood by :func:`random_curvature`:
-
-* ``"riemann-symmetric"`` (conformal and projective only): a raw curvature
-  tensor with the symmetries of a torsion-free connection, embedded as a
-  grade-0 two-cochain;
-* ``"harmonic"``: grade -1 and grade-0 two-cochains in the kernel of the
-  codifferential;
-* ``"deformation-image"``: a grade-0 two-cochain of the form
-  delta kappa0(Gamma) for a random deformation tensor;
-* ``"arbitrary-alternating"``: unconstrained alternating two-cochains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _is_int, _pairs, build_algebra, rank_cutoff
-from .normalization import (
-    CurvatureData,
-    _pair_coefficients,
-    curvature_from_riemann,
-    deformation_delta_kappa0,
-    ricci_from_riemann,
-)
+from .graded_algebra import GradedLieAlgebra, _pairs, rank_cutoff
+from .normalization import _pair_coefficients, deformation_delta_kappa0
 # dstar_matrix is unused here; perfbench's tracer test patches and restores testkit.dstar_matrix
 from .spencer import OneCochain, TwoCochain, _hodge_parts, _value_dim, dstar_matrix  # noqa: F401
-
-SYMMETRY_FLAGS = (
-    "riemann-symmetric",
-    "harmonic",
-    "deformation-image",
-    "arbitrary-alternating",
-)
-
-
-@dataclass
-class SampleSpec:
-    """A reproducible sample request: (kind, params, seed) fixes the stream."""
-
-    kind: str
-    params: dict
-    seed: int
-    count: int = 1
-    symmetry: str = "arbitrary-alternating"
-
-    def __post_init__(self) -> None:
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.symmetry not in SYMMETRY_FLAGS:
-            raise ValueError(
-                f"unknown symmetry flag {self.symmetry!r}; expected one of {SYMMETRY_FLAGS}"
-            )
-        if not _is_int(self.count) or self.count < 1:
-            raise ValueError(f"count must be a positive integer, got {self.count!r}")
-
-
-# ---------------------------------------------------------------------------
-# symmetry projections
-# ---------------------------------------------------------------------------
-
-
-def riemann_projection(T: np.ndarray, kind: str) -> np.ndarray:
-    """Project a four-index tensor onto the symmetry class of ``kind``.
-
-    conformal: antisymmetric in (0,1) and (2,3), symmetric under pair
-    exchange, and satisfying the cyclic identity on the last three indices.
-    projective: antisymmetric in (2,3) and cyclic-free on (1,2,3); no pair
-    metric, so no pair-exchange symmetry is imposed.
-    """
-    T = np.asarray(T, dtype=float)
-    if kind == "conformal":
-        R = 0.5 * (T - T.transpose(1, 0, 2, 3))
-        R = 0.5 * (R - R.transpose(0, 1, 3, 2))
-        R = 0.5 * (R + R.transpose(2, 3, 0, 1))
-        cyc = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
-        return R - cyc / 3.0
-    if kind == "projective":
-        R = 0.5 * (T - T.transpose(0, 1, 3, 2))
-        cyc = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
-        return R - cyc / 3.0
-    raise ValueError(f"kind {kind!r} has no raw curvature symmetry class")
 
 
 def _block_trace_rows(alg: GradedLieAlgebra, grade: int) -> np.ndarray:
@@ -192,57 +118,3 @@ def round_trip_sample(
     h = sampler(rng)
     kappa0 = TwoCochain(0, deformation_delta_kappa0(alg, gamma).data + h.data)
     return gamma, kappa0
-
-
-# ---------------------------------------------------------------------------
-# sample streams
-# ---------------------------------------------------------------------------
-
-
-def random_curvature(spec: SampleSpec) -> list[CurvatureData]:
-    """Generate ``spec.count`` curvature samples in the requested class."""
-    alg = build_algebra(spec.kind, **spec.params)
-    rng = np.random.default_rng(np.uint64(spec.seed))
-    n, n0, _ = alg.dims
-    out: list[CurvatureData] = []
-    if spec.symmetry == "riemann-symmetric" and alg.kind not in ("conformal", "projective"):
-        raise ValueError(
-            f"riemann-symmetric samples exist only for the raw-curvature kinds, not {alg.kind!r}"
-        )
-    hm1 = h0 = None
-    if spec.symmetry == "harmonic":
-        hm1 = harmonic_sampler(alg, -1)
-        h0 = harmonic_sampler(alg, 0)
-    for _ in range(spec.count):
-        if spec.symmetry == "riemann-symmetric":
-            R = riemann_projection(rng.uniform(-1.0, 1.0, (n, n, n, n)), alg.kind)
-            ric = ricci_from_riemann(R)
-            out.append(
-                CurvatureData(
-                    alg.kind,
-                    dict(alg.params),
-                    kappa0=curvature_from_riemann(alg, R),
-                    riemann=R,
-                    ricci=ric,
-                    scalar=float(np.trace(ric)),
-                    torsion_free=True,
-                )
-            )
-        elif spec.symmetry == "harmonic":
-            km1 = hm1(rng)
-            k0 = h0(rng)
-            out.append(CurvatureData(alg.kind, dict(alg.params), kappa_m1=km1, kappa0=k0))
-        elif spec.symmetry == "deformation-image":
-            gamma = OneCochain(1, rng.uniform(-1.0, 1.0, (n, alg.dims[2])))
-            out.append(
-                CurvatureData(
-                    alg.kind,
-                    dict(alg.params),
-                    kappa0=deformation_delta_kappa0(alg, gamma),
-                )
-            )
-        else:
-            km1 = TwoCochain(-1, rng.uniform(-1.0, 1.0, (n, n, n)))
-            k0 = TwoCochain(0, rng.uniform(-1.0, 1.0, (n, n, n0)))
-            out.append(CurvatureData(alg.kind, dict(alg.params), kappa_m1=km1, kappa0=k0))
-    return out

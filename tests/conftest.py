@@ -2,7 +2,8 @@
 recorder of trace-map builds, broken copies of an algebra, an explicit
 basis of the harmonic two-cochains, and earlier library code kept as
 references: the block split with its numbering tables, the Hodge split
-of a two-cochain and the column-by-column trace-map assembly."""
+of a two-cochain, the column-by-column trace-map assembly and the
+projection onto the raw curvature symmetry classes."""
 
 from __future__ import annotations
 
@@ -219,3 +220,25 @@ def ref_brute_force_trace_map(alg) -> np.ndarray:
             col = trace_kappa0(alg, deformation_delta_kappa0(alg, OneCochain(1, E)))
             M[:, c * n1 + u] = col.reshape(-1)
     return M
+
+
+def ref_riemann_projection(T: np.ndarray, kind: str) -> np.ndarray:
+    """Project a four-index tensor onto the symmetry class of ``kind``.
+
+    conformal: antisymmetric in (0,1) and (2,3), symmetric under pair
+    exchange, and satisfying the cyclic identity on the last three indices.
+    projective: antisymmetric in (2,3) and cyclic-free on (1,2,3); no pair
+    metric, so no pair-exchange symmetry is imposed.
+    """
+    T = np.asarray(T, dtype=float)
+    if kind == "conformal":
+        R = 0.5 * (T - T.transpose(1, 0, 2, 3))
+        R = 0.5 * (R - R.transpose(0, 1, 3, 2))
+        R = 0.5 * (R + R.transpose(2, 3, 0, 1))
+        cyc = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
+        return R - cyc / 3.0
+    if kind == "projective":
+        R = 0.5 * (T - T.transpose(0, 1, 3, 2))
+        cyc = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
+        return R - cyc / 3.0
+    raise ValueError(f"kind {kind!r} has no raw curvature symmetry class")

@@ -325,6 +325,31 @@ def test_normalize_rejects_non_finite_curvature(tmp_path):
             assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind,params,field",
+    [("projective", {"q": 2}, "kappa0"), ("conformal", {"m": 3}, "riemann")],
+    ids=["projective-kappa0", "conformal-riemann"],
+)
+def test_normalize_refuses_input_that_overflows(tmp_path, capsys, kind, params, field):
+    # every entry is a finite JSON number, but alternating the argument pair
+    # (x_0, x_1) computes 1e308 - (-1e308), beyond the float64 range
+    alg = algebra(kind, **params)
+    n, n0, _ = alg.dims
+    data = np.zeros((n, n, n0) if field == "kappa0" else (n, n, n, n))
+    if field == "kappa0":
+        data[0, 1], data[1, 0] = 1e308, -1e308
+    else:
+        data[..., 0, 1], data[..., 1, 0] = 1e308, -1e308
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps({field: data.tolist()}))
+    out = tmp_path / "out.json"
+    flags = [f"--{k}={v}" for k, v in params.items()]
+    code = main(["normalize", "--kind", kind, *flags, "--input", str(src), "--output", str(out)])
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr() == ("", "error: input overflows float64 arithmetic\n")
+    assert not out.exists()
+
+
 def _all_strings(nested):
     if isinstance(nested, list):
         return [_all_strings(v) for v in nested]

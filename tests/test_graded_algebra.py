@@ -7,15 +7,12 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import GRID, SMALL, algebra, grid_id
 
 from ahsnormal import (
     KINDS,
-    GradedElement,
     ParameterError,
-    ad_exp,
     build_algebra,
     center_dim,
     cross_check_matrix_rep,
@@ -288,34 +285,6 @@ def test_dual_basis(kind, params):
 
 
 # ---------------------------------------------------------------------------
-# exp(ad Z) against a dense matrix-exponential oracle
-# ---------------------------------------------------------------------------
-
-
-def test_ad_exp_matches_expm():
-    alg = algebra("grassmannian", p=1, q=2)
-    rng = np.random.default_rng(2024)
-    n, n0, n1 = alg.dims
-    Z = rng.uniform(-1.0, 1.0, n1)
-    x = GradedElement.from_full(alg, rng.uniform(-1.0, 1.0, alg.n_total))
-    adZ = np.einsum("u,ujk->jk", Z, alg.C[alg.grade_slice(1)])
-    expected = scipy.linalg.expm(adZ.T) @ x.full()
-    got = ad_exp(alg, Z, x)
-    np.testing.assert_allclose(got.full(), expected, atol=1e-12)
-
-
-def test_ad_exp_nilpotent_degree():
-    # ad(Z) raises grade, so its cube annihilates everything: the series of
-    # exp(-Z) inverts exp(Z) exactly
-    alg = algebra("lagrangian", m=3)
-    rng = np.random.default_rng(7)
-    Z = rng.uniform(-1.0, 1.0, alg.dims[2])
-    x = GradedElement.from_full(alg, rng.uniform(-1.0, 1.0, alg.n_total))
-    back = ad_exp(alg, -Z, ad_exp(alg, Z, x))
-    np.testing.assert_allclose(back.full(), x.full(), atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -391,16 +360,6 @@ def test_dimension_budget_counts_dim_g(monkeypatch, kind, params):
     monkeypatch.setattr(graded_algebra, "MAX_DIM", N - 1)
     with pytest.raises(ParameterError, match=f"dim g = {N};"):
         build_algebra(kind, **params)
-
-
-def test_graded_element_round_trip():
-    alg = algebra("conformal", m=3)
-    v = np.arange(float(alg.n_total))
-    x = GradedElement.from_full(alg, v)
-    assert x.m1.shape == (3,)
-    assert x.z0.shape == (4,)
-    assert x.p1.shape == (3,)
-    np.testing.assert_array_equal(x.full(), v)
 
 
 # ---------------------------------------------------------------------------

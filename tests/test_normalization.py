@@ -7,9 +7,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import GRID, SMALL, algebra, grid_id, ref_brute_force_trace_map
+from conftest import (
+    GRID,
+    SMALL,
+    algebra,
+    grid_id,
+    ref_brute_force_trace_map,
+    ref_riemann_projection,
+)
 
-from ahsnormal import normalization, spencer
+from ahsnormal import spencer
 from ahsnormal.graded_algebra import _pairs
 from ahsnormal.normalization import (
     NonUniquenessError,
@@ -33,9 +40,7 @@ from ahsnormal.normalization import (
 )
 from ahsnormal.prolongation_model import (
     FrameChange,
-    flat_structure_function,
     model_second_torsion,
-    torsion_change,
     torsion_equivariance,
 )
 from ahsnormal.spencer import (
@@ -50,7 +55,6 @@ from ahsnormal.spencer import (
 from ahsnormal.testkit import (
     harmonic_sampler,
     random_gamma,
-    riemann_projection,
     round_trip_sample,
 )
 
@@ -102,17 +106,12 @@ GRADE_REFUSALS = [
         alg, c, cochain(alg, TwoCochain, -1), np.zeros(alg.dims[2]))),
     ("fiber_constancy_check", "kappa_m1", TwoCochain, -1, lambda alg, c: fiber_constancy_check(
         alg, cochain(alg, TwoCochain, 0), c, np.zeros(alg.dims[2]))),
-    ("torsion_change", "t", TwoCochain, -1,
-     lambda alg, c: torsion_change(alg, c, cochain(alg, OneCochain, 0))),
-    ("torsion_change", "psi", OneCochain, 0,
-     lambda alg, c: torsion_change(alg, cochain(alg, TwoCochain, -1), c)),
-    ("torsion_equivariance", "t", TwoCochain, -1,
-     lambda alg, c: torsion_equivariance(alg, c, FrameChange.identity(alg))),
+    ("torsion_equivariance", "t", TwoCochain, -1, lambda alg, c: torsion_equivariance(
+        alg, c, FrameChange.from_g0(alg, np.zeros(alg.dims[1])))),
     ("model_second_torsion", "torsion", TwoCochain, -1,
      lambda alg, c: model_second_torsion(alg, torsion=c)),
     ("model_second_torsion", "curv0", TwoCochain, 0,
      lambda alg, c: model_second_torsion(alg, curv0=c)),
-    ("flat_structure_function", "kappa0", TwoCochain, 0, flat_structure_function),
 ]
 
 
@@ -398,6 +397,14 @@ def test_oracle_raises_on_sl2():
     assert exc.value.kernel_dim >= 1
 
 
+def test_oracle_refuses_nan_trace_data():
+    # NaN compares false with every bound, so a range check that only asks
+    # "residual > bound" would pass it and return an all-NaN Gamma
+    alg = algebra("projective", q=3)
+    with pytest.raises(ValueError, match="outside the range of the trace map"):
+        oracle_gamma(alg, TwoCochain(0, np.full((3, 3, 9), np.nan)))
+
+
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_uniqueness_certificate(kind, params):
     alg = algebra(kind, **params)
@@ -584,7 +591,7 @@ def test_conformal_raw_riemann_consistency():
     m = 4
     alg = algebra("conformal", m=m)
     rng = np.random.default_rng(414)
-    R = riemann_projection(rng.uniform(-1.0, 1.0, (m, m, m, m)), "conformal")
+    R = ref_riemann_projection(rng.uniform(-1.0, 1.0, (m, m, m, m)), "conformal")
     ric = ricci_from_riemann(R)
     np.testing.assert_allclose(ric, ric.T, atol=1e-13)
     k0 = curvature_from_riemann(alg, R)
@@ -599,7 +606,7 @@ def test_projective_raw_riemann_consistency():
     q = 3
     alg = algebra("projective", q=q)
     rng = np.random.default_rng(415)
-    R = riemann_projection(rng.uniform(-1.0, 1.0, (q, q, q, q)), "projective")
+    R = ref_riemann_projection(rng.uniform(-1.0, 1.0, (q, q, q, q)), "projective")
     ric = ricci_from_riemann(R)
     k0 = curvature_from_riemann(alg, R)
     # the embedded curvature's trace is the transposed raw Ricci
