@@ -10,7 +10,7 @@ one-cochain Gamma (the deformation tensor), characterized by
 where delta kappa0(Gamma)(X, Y) = [Gamma(X), Y] - [Gamma(Y), X] is the
 curvature shift induced by deforming the connection and Tr is the Ricci-type
 trace pairing two-cochains down to bilinear forms on g_{-1}.  The module
-computes Gamma along two independent routes:
+computes Gamma, a grade-1 OneCochain, along two independent routes:
 
 * closed-form trace formulas, one per structure kind, and
 * a linear-solve oracle that assembles the map Gamma -> Tr(delta
@@ -26,13 +26,11 @@ sign being pinned by the constant-curvature spot values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _pair_table, _pairs
-from .spencer import (OneCochain, TwoCochain, _check_one, _check_two, _complex,
-                      d_triplets, dstar_triplets, spencer_d, spencer_dstar)
+from .spencer import (OneCochain, TwoCochain, _check_one, _check_two, _complex, spencer_d,
+                      spencer_dstar)
 
 # Fixed thresholds, each relative to max(1, largest entry), of
 # fiber_constancy_check, torsion_is_harmonic and oracle_gamma's solve.
@@ -47,16 +45,6 @@ class NonUniquenessError(RuntimeError):
     def __init__(self, message: str, kernel_dim: int = 0):
         super().__init__(message)
         self.kernel_dim = kernel_dim
-
-
-@dataclass
-class DeformationTensor:
-    """The grade-1 one-cochain Gamma with bookkeeping."""
-
-    kind: str
-    params: dict
-    gamma: OneCochain
-    method: str
 
 
 # ---------------------------------------------------------------------------
@@ -148,15 +136,7 @@ def torsion_is_harmonic(alg: GradedLieAlgebra, torsion: TwoCochain) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def ricci_from_riemann(R: np.ndarray) -> np.ndarray:
-    """Ricci contraction Ric[j, k] = sum_l R[l, j, l, k]."""
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 4:
-        raise ValueError("Riemann tensor must have four indices")
-    return np.einsum("ljlk->jk", R)
-
-
-def gamma_conformal(m: int, ricci: np.ndarray, scalar: float) -> DeformationTensor:
+def _gamma_conformal(m: int, ricci: np.ndarray) -> np.ndarray:
     """Conformal deformation tensor from Ricci data.
 
     Gamma_ij = -1/(m-2) * (Ric_ij - delta_ij * scalar / (2(m-1))), applied
@@ -165,39 +145,23 @@ def gamma_conformal(m: int, ricci: np.ndarray, scalar: float) -> DeformationTens
     is exact when the Ricci data is symmetric (which holds for curvature
     operators built from torsion-free, Bianchi respecting Riemann tensors).
     """
-    if m < 3:
-        raise NonUniquenessError(f"conformal trace inversion needs m >= 3, got {m}")
-    ricci = np.asarray(ricci, dtype=float)
-    if ricci.shape != (m, m):
-        raise ValueError(f"ricci must be {m} x {m}")
-    G = (-1.0 / (m - 2)) * (ricci - (float(scalar) / (2 * (m - 1))) * np.eye(m))
-    return DeformationTensor("conformal", {"m": m}, OneCochain(1, G), "closed_form")
+    scalar = float(np.trace(ricci))
+    return (-1.0 / (m - 2)) * (ricci - (scalar / (2 * (m - 1))) * np.eye(m))
 
 
-def gamma_projective(q: int, riemann: np.ndarray) -> DeformationTensor:
-    """Projective deformation tensor from a Riemann-type tensor R[i, j, k, l].
+def _gamma_projective(q: int, ricci: np.ndarray) -> np.ndarray:
+    """Projective deformation tensor from Ricci data.
 
-    Writing Ric for the contraction R[l, j, l, k], the tensor is
+    Writing Ric for the contraction R[l, j, l, k] of R[i, j, k, l], the tensor is
     Gamma_jk = (Ric_jk + q * Ric_kj) / (q^2 - 1).  This is Gamma = P, the
     projective Schouten tensor Ric_sym / (q - 1) - Ric_alt / (q + 1), and
     the normalized curvature is the embedded projective Weyl tensor
     W^a_bkl = R^a_bkl - delta^a_k P_lb + delta^a_l P_kb + delta^a_b (P_kl - P_lk).
     """
-    if q < 2:
-        raise NonUniquenessError(f"projective trace inversion needs q >= 2, got {q}")
-    ric = ricci_from_riemann(riemann)
-    if ric.shape != (q, q):
-        raise ValueError(f"Riemann tensor must be {q}^4")
-    return _gamma_projective_from_ricci(q, ric)
+    return (ricci + q * ricci.T) / (q * q - 1.0)
 
 
-def _gamma_projective_from_ricci(q: int, ric: np.ndarray) -> DeformationTensor:
-    """The formula of :func:`gamma_projective` on given Ricci data."""
-    G = (ric + q * ric.T) / (q * q - 1.0)
-    return DeformationTensor("projective", {"q": q}, OneCochain(1, G), "closed_form")
-
-
-def gamma_grassmannian(p: int, q: int, trace_r: np.ndarray, trace_g0_2: np.ndarray) -> DeformationTensor:
+def _gamma_grassmannian(p: int, q: int, trace_r: np.ndarray, trace_g0_2: np.ndarray) -> np.ndarray:
     """Grassmannian deformation tensor from the two trace datasets.
 
     ``trace_r`` is the Ricci-type trace data of kappa0 and ``trace_g0_2``
@@ -208,7 +172,7 @@ def gamma_grassmannian(p: int, q: int, trace_r: np.ndarray, trace_g0_2: np.ndarr
     Gamma[a,k,c,l] = (s*T[a,k,c,l] + 2*T[c,k,a,l] + s*G2[c,k,a,l] + 2*G2[a,k,c,l]) / (s^2 - 4)
     """
     s = p + q
-    if s < 3 or p < 1:
+    if s < 3:
         raise NonUniquenessError(
             f"grassmannian trace inversion needs p + q >= 3, got p = {p}, q = {q}",
             kernel_dim=1,
@@ -219,34 +183,10 @@ def gamma_grassmannian(p: int, q: int, trace_r: np.ndarray, trace_g0_2: np.ndarr
     Ts = T4.transpose(2, 1, 0, 3)
     G2s = G24.transpose(2, 1, 0, 3)
     G4 = (s * T4 + 2.0 * Ts + s * G2s + 2.0 * G24) / (s * s - 4.0)
-    return DeformationTensor(
-        "grassmannian", {"p": p, "q": q}, OneCochain(1, G4.reshape(n, n)), "closed_form"
-    )
+    return G4.reshape(n, n)
 
 
-def gamma_lagrangian(m: int, trace_r: np.ndarray) -> DeformationTensor:
-    """Lagrangian deformation tensor from the Ricci-type trace data alone.
-
-    ``trace_r`` is indexed by the ordered symmetric pairs k <= l; see
-    :func:`_gamma_pair` with eps = +1 for the formula and its validity class.
-    """
-    if m < 3:
-        raise NonUniquenessError(f"lagrangian trace inversion needs m >= 3, got {m}")
-    return _gamma_pair(m, trace_r, 1)
-
-
-def gamma_spinorial(m: int, trace_r: np.ndarray) -> DeformationTensor:
-    """Spinorial deformation tensor from the Ricci-type trace data alone.
-
-    ``trace_r`` is indexed by the ordered alternating pairs k < l; see
-    :func:`_gamma_pair` with eps = -1 for the formula and its validity class.
-    """
-    if m < 3:
-        raise NonUniquenessError(f"spinorial trace inversion needs m >= 3, got {m}")
-    return _gamma_pair(m, trace_r, -1)
-
-
-def _gamma_pair(m: int, trace_r: np.ndarray, eps: int) -> DeformationTensor:
+def _gamma_pair(m: int, trace_r: np.ndarray, eps: int) -> np.ndarray:
     """Closed form for the pair kinds, g_{-1} the eps-symmetric square of R^m.
 
     With T[a,b,c,d] the trace data expanded to all index pairs by
@@ -262,11 +202,6 @@ def _gamma_pair(m: int, trace_r: np.ndarray, eps: int) -> DeformationTensor:
     exchange of the input and output pairs, which is the class produced by
     normalizing an admissible connection.
     """
-    pairs = _pairs(m, eps)
-    n = len(pairs)
-    trace_r = np.asarray(trace_r, dtype=float)
-    if trace_r.shape != (n, n):
-        raise ValueError(f"trace data must be {n} x {n}")
     slot, sign = _pair_table(m, eps)
     s, t = slot[:, :, None, None], slot  # the pairs (a, b) and (c, d)
     T4 = np.where((s >= 0) & (t >= 0), sign[:, :, None, None] * sign * trace_r[s, t], 0.0)
@@ -277,9 +212,7 @@ def _gamma_pair(m: int, trace_r: np.ndarray, eps: int) -> DeformationTensor:
     ) / (eps * (m * (m + eps) - 2.0))
     G4 = 0.5 * (G4 + eps * G4.transpose(1, 0, 2, 3))
     G4 = 0.5 * (G4 + eps * G4.transpose(0, 1, 3, 2))
-    G = _pair_coefficients(G4, pairs)
-    kind = "lagrangian" if eps > 0 else "spinorial"
-    return DeformationTensor(kind, {"m": m}, OneCochain(1, G), "closed_form")
+    return _pair_coefficients(G4, _pairs(m, eps))
 
 
 def _pair_coefficients(F: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -290,25 +223,23 @@ def _pair_coefficients(F: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarra
     return w * F[k, l, k[:, None], l[:, None]]
 
 
-def gamma_closed_form(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor:
-    """Dispatch to the structure kind's closed-form formula, extracting the
-    required trace data from kappa0."""
+def gamma_closed_form(alg: GradedLieAlgebra, kappa0: TwoCochain) -> OneCochain:
+    """Gamma by the structure kind's closed-form formula, from the trace data
+    of kappa0; sl(2), which has none, raises NonUniquenessError."""
     T = trace_kappa0(alg, kappa0)
-    kind = alg.kind
+    kind, prm = alg.kind, alg.params
     if kind == "conformal":
-        ric = -T
-        return gamma_conformal(alg.params["m"], ric, float(np.trace(ric)))
-    if kind == "projective":
+        G = _gamma_conformal(prm["m"], -T)
+    elif kind == "projective":
         # T = Ric^T for curvature embedded with the projective sign
-        return _gamma_projective_from_ricci(alg.params["q"], T.T)
-    if kind == "grassmannian":
-        G2 = block_trace_g0(alg, kappa0, "D")
-        return gamma_grassmannian(alg.params["p"], alg.params["q"], T, G2)
-    if kind == "lagrangian":
-        return gamma_lagrangian(alg.params["m"], T)
-    if kind == "spinorial":
-        return gamma_spinorial(alg.params["m"], T)
-    raise ValueError(f"no closed form for kind {kind!r}")
+        G = _gamma_projective(prm["q"], T.T)
+    elif kind == "grassmannian":
+        G = _gamma_grassmannian(prm["p"], prm["q"], T, block_trace_g0(alg, kappa0, "D"))
+    elif kind in ("lagrangian", "spinorial"):
+        G = _gamma_pair(prm["m"], T, 1 if kind == "lagrangian" else -1)
+    else:
+        raise ValueError(f"no closed form for kind {kind!r}")
+    return OneCochain(1, G)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +252,7 @@ def curvature_from_riemann(alg: GradedLieAlgebra, R: np.ndarray) -> TwoCochain:
 
     R[a, b, k, l] is read as R^a_{bkl}: the endomorphism indices (a, b)
     come first and the two-form indices (k, l) last, so the Ricci
-    contraction (:func:`ricci_from_riemann`) is Ric_bl = R^a_{bal}.
+    contraction is Ric_bl = R^a_{bal}.
     kappa0(x_k, x_l) is the g_0 element acting on g_{-1} as -R(x_k, x_l)
     for the conformal kind and +R(x_k, x_l) for the projective kind; the
     signs are pinned by the constant-curvature spot values and recorded in
@@ -355,9 +286,10 @@ def trace_map_matrix(alg: GradedLieAlgebra) -> Triplets:
     Rows are flattened (x, v) trace slots, columns flattened (c, u) slots of
     g_{-1}^* (x) g_1, both in C order.  Tr(delta kappa0(Gamma))[x, v] is
     <z_v, x_v> d*(d Gamma)[x, v], so the map is d* d on grade-1 one-cochains
-    with row (x, v) scaled by the (diagonal) pairing entry of v.
+    with row (x, v) scaled by the (diagonal) pairing entry of v; d* d comes
+    from the algebra's cached Spencer complex.
     """
-    M = dstar_triplets(alg, 0) @ d_triplets(alg, 1)
+    M = _complex(alg).dstar_d(0)
     return Triplets(M.rows, M.cols, np.diag(alg.pairing)[M.rows % alg.dims[2]] * M.vals, M.shape)
 
 
@@ -378,7 +310,7 @@ def _trace_map_inverse(alg: GradedLieAlgebra) -> tuple[Triplets, Blocks, int]:
     return _complex(alg).part("trace_map", factor)
 
 
-def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor:
+def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> OneCochain:
     """Solve Tr(delta kappa0(Gamma)) = Tr(kappa0) for Gamma by least squares.
 
     The trace map (:func:`trace_map_matrix`, the pairing-scaled d* d
@@ -411,7 +343,7 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> DeformationTensor
     scale = max(1.0, float(np.abs(b).max()))
     if not residual <= ORACLE_RESIDUAL_TOL * scale:  # NaN fails too
         raise ValueError(f"trace data outside the range of the trace map (residual {residual:.3e})")
-    return DeformationTensor(alg.kind, dict(alg.params), OneCochain(1, x.reshape(n, n1)), "oracle")
+    return OneCochain(1, x.reshape(n, n1))
 
 
 def uniqueness_certificate(alg: GradedLieAlgebra) -> dict:

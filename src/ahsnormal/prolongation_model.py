@@ -21,14 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _ad_g1
-from .spencer import (
-    OneCochain,
-    TwoCochain,
-    _check_one,
-    _check_two,
-    d_triplets,
-)
+from .graded_algebra import GradedLieAlgebra
+from .spencer import OneCochain, TwoCochain, _check_one, _check_two, _complex
 
 # second_torsion_reduction's bound on its residuals, relative to max(1, max|input|)
 SECOND_TORSION_TOL = 1e-10
@@ -130,7 +124,7 @@ def z_drop_residual(alg: GradedLieAlgebra) -> float:
     trivially on torsion.  The difference is d of the one-cochain [Z, .]: the
     product d ad(g_1) that :func:`spencer.cohomology_dim` needs closed for H11.
     """
-    return float(np.abs((d_triplets(alg, 0) @ _ad_g1(alg)).vals).max(initial=0.0))
+    return float(np.abs(_complex(alg).d_ad().vals).max(initial=0.0))
 
 
 def torsion_equivariance(alg: GradedLieAlgebra, t: TwoCochain, fc: FrameChange) -> TwoCochain:

@@ -251,10 +251,22 @@ class _Complex:
         return self.part(("dstar_rank", two_grade),
                          lambda: Blocks.split(_pair_cols(self.dstar(two_grade), n)).rank())
 
+    def dstar_d(self, two_grade: int) -> Triplets:
+        """d* d around grade-``two_grade`` two-cochains."""
+        return self.part(("dstar_d", two_grade),
+                         lambda: self.dstar(two_grade) @ self.d(two_grade + 1))
+
     def dstar_d_pinv(self, two_grade: int) -> tuple[Blocks, int]:
         """pinv(d* d) around grade-``two_grade`` two-cochains, block by block, and its rank."""
-        return self.part(("dstar_d", two_grade), lambda: Blocks.split(
-            self.dstar(two_grade) @ self.d(two_grade + 1)).pinv())
+        return self.part(("dstar_d_pinv", two_grade),
+                         lambda: Blocks.split(self.dstar_d(two_grade)).pinv())
+
+    def ad(self) -> Triplets:
+        return self.part("ad", lambda: _ad_g1(self.alg))
+
+    def d_ad(self) -> Triplets:
+        """d ad, empty for a Jacobi-exact structure tensor."""
+        return self.part("d_ad", lambda: self.d(0) @ self.ad())
 
 
 def _complex(alg: GradedLieAlgebra) -> _Complex:
@@ -297,7 +309,7 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
     full operators.  Every rank is :meth:`Blocks.rank` on triplets (that
     of d* d comes with its pseudo-inverse), taken once per algebra in its
     cached Spencer complex (:func:`_complex`) and shared with
-    :func:`cohomology_dim` and :func:`_hodge_parts`.
+    :func:`cohomology_dim`, the trace map and the harmonic sampler.
 
     The dense :func:`d_matrix` and :func:`dstar_matrix` are built here only
     because the benchmark's tracer (``perfbench/tracing.py``) counts and
@@ -343,18 +355,10 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str) -> int:
     n, n0, n1 = alg.dims
     cx = _complex(alg)
     if level == "H11":
-        ad = _ad_g1(alg)
-        if (cx.d(0) @ ad).vals.size:
+        if cx.d_ad().vals.size:
             raise AssertionError("ad image is not d-closed; structure tensor corrupt")
-        return n * n0 - cx.d_rank(0) - cx.part("ad_rank", lambda: Blocks.split(ad).rank())
+        return n * n0 - cx.d_rank(0) - cx.part("ad_rank", lambda: Blocks.split(cx.ad()).rank())
     if level == "H21":
         return n * n1 - cx.d_rank(1)
     raise ValueError(f"level must be 'H11' or 'H21', got {level!r}")
 
-
-def _hodge_parts(alg: GradedLieAlgebra, grade: int) -> tuple[Triplets, Blocks, Triplets]:
-    """Sparse d and d* around grade-``grade`` two-cochains, and pinv(d* d) taken
-    block by block, shared through the algebra's cached Spencer complex: the
-    harmonic part of t is t - D @ (P @ (S @ t))."""
-    cx = _complex(alg)
-    return cx.d(grade + 1), cx.dstar_d_pinv(grade)[0], cx.dstar(grade)

@@ -13,7 +13,7 @@ import numpy as np
 from .graded_algebra import GradedLieAlgebra, _pairs, rank_cutoff
 from .normalization import _pair_coefficients, deformation_delta_kappa0
 # dstar_matrix is unused here; perfbench's tracer test patches and restores testkit.dstar_matrix
-from .spencer import OneCochain, TwoCochain, _hodge_parts, _value_dim, dstar_matrix  # noqa: F401
+from .spencer import OneCochain, TwoCochain, _complex, _value_dim, dstar_matrix  # noqa: F401
 
 
 def _block_trace_rows(alg: GradedLieAlgebra, grade: int) -> np.ndarray:
@@ -41,7 +41,8 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
     """
     n = alg.dims[0]
     nv = _value_dim(alg, grade)
-    D, P, S = _hodge_parts(alg, grade)
+    cx = _complex(alg)
+    D, P, S = cx.d(grade + 1), cx.dstar_d_pinv(grade)[0], cx.dstar(grade)
 
     def harm(vec: np.ndarray) -> np.ndarray:
         return vec - D @ (P @ (S @ vec))

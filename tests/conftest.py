@@ -2,8 +2,9 @@
 recorder of trace-map builds, broken copies of an algebra, an explicit
 basis of the harmonic two-cochains, and earlier library code kept as
 references: the block split with its numbering tables, the Hodge split
-of a two-cochain, the column-by-column trace-map assembly and the
-projection onto the raw curvature symmetry classes."""
+of a two-cochain, the column-by-column trace-map assembly, the
+projection onto the raw curvature symmetry classes and the Ricci
+contraction of a raw curvature tensor."""
 
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from ahsnormal.spencer import (
     OneCochain,
     TwoCochain,
     _check_two,
-    _hodge_parts,
+    _complex,
     _value_dim,
     dstar_matrix,
     spencer_d,
@@ -193,11 +194,12 @@ def ref_harmonic_decompose(alg, t: TwoCochain) -> tuple[TwoCochain, OneCochain]:
     """Split t = harmonic + d(psi) with d*(harmonic) = 0 and psi of minimal norm.
 
     Solves the normal equation (d* d) psi = d* t with the pseudo-inverse of
-    d* d from ``spencer._hodge_parts``; the minimal-norm solution makes the
-    split deterministic.
+    d* d from the algebra's cached Spencer complex; the minimal-norm solution
+    makes the split deterministic.
     """
     _check_two(alg, t)
-    _, P, S = _hodge_parts(alg, t.grade)
+    cx = _complex(alg)
+    P, S = cx.dstar_d_pinv(t.grade)[0], cx.dstar(t.grade)
     psi = OneCochain(t.grade + 1, (P @ (S @ t.data.reshape(-1))).reshape(alg.dims[0], -1))
     harm = TwoCochain(t.grade, t.data - spencer_d(alg, psi).data)
     return harm, psi
@@ -242,3 +244,11 @@ def ref_riemann_projection(T: np.ndarray, kind: str) -> np.ndarray:
         cyc = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
         return R - cyc / 3.0
     raise ValueError(f"kind {kind!r} has no raw curvature symmetry class")
+
+
+def ref_ricci_from_riemann(R: np.ndarray) -> np.ndarray:
+    """Ricci contraction Ric[j, k] = sum_l R[l, j, l, k]."""
+    R = np.asarray(R, dtype=float)
+    if R.ndim != 4:
+        raise ValueError("Riemann tensor must have four indices")
+    return np.einsum("ljlk->jk", R)

@@ -23,6 +23,7 @@ from ahsnormal.cli import (
     EXIT_VALIDATION,
     main,
 )
+from ahsnormal.spencer import OneCochain
 
 
 def run_to_file(tmp_path, name, argv):
@@ -421,7 +422,7 @@ def test_non_finite_gamma_exits_invariant_and_writes_nothing(monkeypatch, tmp_pa
 
     def broken(alg, kappa0):
         closed = real(alg, kappa0)
-        closed.gamma.data[0, -1] = bad
+        closed.data[0, -1] = bad
         return closed
 
     monkeypatch.setattr(cli, "gamma_closed_form", broken)
@@ -486,6 +487,22 @@ def test_verify_single_point_passes(tmp_path):
     names = [c["check"] for c in point["checks"]]
     assert "jacobi" in names and "normalization_round_trip" in names
     assert all(c["passed"] for c in point["checks"])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name,nan_of", [
+    ("trace_kappa0_via_dstar", lambda T: np.full_like(T, np.nan)),
+    ("gamma_closed_form", lambda G: OneCochain(1, np.full_like(G.data, np.nan))),
+], ids=["trace_dual_route", "normalization_round_trip"])
+def test_verify_nan_residual_exits_invariant(monkeypatch, capsys, name, nan_of):
+    # a NaN residual fails its check and the report, where max(0.0, nan)
+    # would have read it as 0.0 and passed
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda alg, k0: nan_of(real(alg, k0)))
+    code = main(["verify", "--kind", "projective", "--q", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_INVARIANT, "")
+    assert "non-finite" in err
 
 
 def test_verify_point_parameters_require_kind(tmp_path, capsys):

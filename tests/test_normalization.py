@@ -13,6 +13,7 @@ from conftest import (
     algebra,
     grid_id,
     ref_brute_force_trace_map,
+    ref_ricci_from_riemann,
     ref_riemann_projection,
 )
 
@@ -20,17 +21,15 @@ from ahsnormal import spencer
 from ahsnormal.graded_algebra import _pairs
 from ahsnormal.normalization import (
     NonUniquenessError,
+    _gamma_conformal,
+    _gamma_pair,
+    _gamma_projective,
     block_trace_g0,
     deformation_delta_kappa0,
     curvature_from_riemann,
     fiber_constancy_check,
     gamma_closed_form,
-    gamma_conformal,
-    gamma_lagrangian,
-    gamma_projective,
-    gamma_spinorial,
     oracle_gamma,
-    ricci_from_riemann,
     torsion_is_harmonic,
     trace_g0,
     trace_kappa0,
@@ -42,6 +41,7 @@ from ahsnormal.prolongation_model import (
     FrameChange,
     model_second_torsion,
     torsion_equivariance,
+    z_drop_residual,
 )
 from ahsnormal.spencer import (
     Blocks,
@@ -206,32 +206,32 @@ def test_torsion_is_harmonic_classifier():
 def test_conformal_constant_curvature_spot():
     for m in (3, 4, 5):
         R = constant_curvature(m)
-        ric = ricci_from_riemann(R)
+        ric = ref_ricci_from_riemann(R)
         np.testing.assert_allclose(ric, (m - 1) * np.eye(m), atol=1e-13)
-        out = gamma_conformal(m, ric, float(np.trace(ric)))
-        np.testing.assert_allclose(out.gamma.data, -0.5 * np.eye(m), atol=1e-13)
+        out = _gamma_conformal(m, ric)
+        np.testing.assert_allclose(out, -0.5 * np.eye(m), atol=1e-13)
         # the linear-solve oracle agrees on the embedded curvature
         alg = algebra("conformal", m=m)
         orc = oracle_gamma(alg, curvature_from_riemann(alg, R))
-        np.testing.assert_allclose(orc.gamma.data, -0.5 * np.eye(m), atol=1e-12)
+        np.testing.assert_allclose(orc.data, -0.5 * np.eye(m), atol=1e-12)
 
 
 def test_projective_constant_curvature_spot():
     for q in (2, 3, 4):
         R = constant_curvature(q)
-        out = gamma_projective(q, R)
-        np.testing.assert_allclose(out.gamma.data, np.eye(q), atol=1e-13)
+        out = _gamma_projective(q, ref_ricci_from_riemann(R))
+        np.testing.assert_allclose(out, np.eye(q), atol=1e-13)
         alg = algebra("projective", q=q)
         orc = oracle_gamma(alg, curvature_from_riemann(alg, R))
-        np.testing.assert_allclose(orc.gamma.data, np.eye(q), atol=1e-12)
+        np.testing.assert_allclose(orc.data, np.eye(q), atol=1e-12)
 
 
 def test_closed_forms_at_zero():
-    assert np.abs(gamma_conformal(4, np.zeros((4, 4)), 0.0).gamma.data).max() == 0.0
-    assert np.abs(gamma_projective(3, np.zeros((3, 3, 3, 3))).gamma.data).max() == 0.0
+    assert np.abs(_gamma_conformal(4, np.zeros((4, 4)))).max() == 0.0
+    assert np.abs(_gamma_projective(3, np.zeros((3, 3)))).max() == 0.0
     n = 6  # lagrangian m = 3 has 6 symmetric pairs
-    assert np.abs(gamma_lagrangian(3, np.zeros((n, n))).gamma.data).max() == 0.0
-    assert np.abs(gamma_spinorial(4, np.zeros((6, 6))).gamma.data).max() == 0.0
+    assert np.abs(_gamma_pair(3, np.zeros((n, n)), 1)).max() == 0.0
+    assert np.abs(_gamma_pair(4, np.zeros((6, 6)), -1)).max() == 0.0
 
 
 @pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
@@ -241,21 +241,18 @@ def test_closed_form_linearity(kind, params):
     k1 = random_kappa0(alg, rng)
     k2 = random_kappa0(alg, rng)
     mix = TwoCochain(0, 2.0 * k1.data - 3.0 * k2.data)
-    g1 = gamma_closed_form(alg, k1).gamma.data
-    g2 = gamma_closed_form(alg, k2).gamma.data
-    gmix = gamma_closed_form(alg, mix).gamma.data
+    g1 = gamma_closed_form(alg, k1).data
+    g2 = gamma_closed_form(alg, k2).data
+    gmix = gamma_closed_form(alg, mix).data
     np.testing.assert_allclose(gmix, 2.0 * g1 - 3.0 * g2, atol=1e-11)
 
 
-def test_closed_form_parameter_floors():
-    with pytest.raises(NonUniquenessError):
-        gamma_conformal(2, np.zeros((2, 2)), 0.0)
-    with pytest.raises(NonUniquenessError):
-        gamma_projective(1, np.zeros((1, 1, 1, 1)))
-    with pytest.raises(NonUniquenessError):
-        gamma_lagrangian(2, np.zeros((3, 3)))
-    with pytest.raises(NonUniquenessError):
-        gamma_spinorial(2, np.zeros((1, 1)))
+def test_closed_form_raises_on_sl2():
+    # the one closed-form guard an algebra can reach: p + q = 2
+    alg = algebra("grassmannian", p=1, q=1)
+    with pytest.raises(NonUniquenessError) as exc:
+        gamma_closed_form(alg, TwoCochain(0, np.zeros((1, 1, 1))))
+    assert exc.value.kernel_dim == 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +270,8 @@ def test_round_trip_with_harmonic_pollution(kind, params):
         scale = max(1.0, float(np.abs(gamma.data).max()))
         cf = gamma_closed_form(alg, k0)
         orc = oracle_gamma(alg, k0)
-        assert np.abs(cf.gamma.data - gamma.data).max() <= 1e-11 * scale
-        assert np.abs(orc.gamma.data - gamma.data).max() <= 1e-11 * scale
+        assert np.abs(cf.data - gamma.data).max() <= 1e-11 * scale
+        assert np.abs(orc.data - gamma.data).max() <= 1e-11 * scale
 
 
 @pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
@@ -284,7 +281,7 @@ def test_normalized_curvature_is_trace_free(kind, params):
     sampler = harmonic_sampler(alg, 0, block_trace_free=(kind == "grassmannian"))
     _, k0 = round_trip_sample(alg, rng, sampler=sampler)
     cf = gamma_closed_form(alg, k0)
-    kbar = TwoCochain(0, k0.data - deformation_delta_kappa0(alg, cf.gamma).data)
+    kbar = TwoCochain(0, k0.data - deformation_delta_kappa0(alg, cf).data)
     assert np.abs(trace_kappa0(alg, kbar)).max() <= 1e-11
 
 
@@ -385,8 +382,7 @@ def test_oracle_zero_curvature():
     alg = algebra("spinorial", m=4)
     n, n0, _ = alg.dims
     out = oracle_gamma(alg, TwoCochain(0, np.zeros((n, n, n0))))
-    assert np.abs(out.gamma.data).max() == 0.0
-    assert out.method == "oracle"
+    assert np.abs(out.data).max() == 0.0
 
 
 def test_oracle_raises_on_sl2():
@@ -443,7 +439,7 @@ def test_trace_map_is_codifferential_of_differential(kind, params):
 def _solve(alg, k0):
     """The oracle's answer as bytes, or the kernel dimension it refuses with."""
     try:
-        return oracle_gamma(alg, k0).gamma.data.tobytes()
+        return oracle_gamma(alg, k0).data.tobytes()
     except NonUniquenessError as err:
         return err.kernel_dim
 
@@ -475,8 +471,8 @@ def _bumped(alg, gx, gy):
 
 
 def _spencer_answers(alg):
-    """complementarity_check, cohomology_dim (or its refusal) and a harmonic
-    draw, at every grade."""
+    """complementarity_check, cohomology_dim (or its refusal), a harmonic
+    draw at every grade, and z_drop_residual."""
     def h(level):
         try:
             return cohomology_dim(alg, level)
@@ -485,7 +481,7 @@ def _spencer_answers(alg):
 
     return ([complementarity_check(alg, grade) for grade in (-1, 0)], [h("H11"), h("H21")],
             [harmonic_sampler(alg, grade)(np.random.default_rng(1503)).data.tobytes()
-             for grade in (-1, 0)])
+             for grade in (-1, 0)], z_drop_residual(alg))
 
 
 def test_trace_map_cache_keys_on_content(trace_map_builds):
@@ -592,14 +588,14 @@ def test_conformal_raw_riemann_consistency():
     alg = algebra("conformal", m=m)
     rng = np.random.default_rng(414)
     R = ref_riemann_projection(rng.uniform(-1.0, 1.0, (m, m, m, m)), "conformal")
-    ric = ricci_from_riemann(R)
+    ric = ref_ricci_from_riemann(R)
     np.testing.assert_allclose(ric, ric.T, atol=1e-13)
     k0 = curvature_from_riemann(alg, R)
     # the embedded curvature's Ricci-type trace is minus the raw Ricci
     np.testing.assert_allclose(trace_kappa0(alg, k0), -ric, atol=1e-12)
-    cf = gamma_conformal(m, ric, float(np.trace(ric)))
+    cf = _gamma_conformal(m, ric)
     orc = oracle_gamma(alg, k0)
-    np.testing.assert_allclose(cf.gamma.data, orc.gamma.data, atol=1e-11)
+    np.testing.assert_allclose(cf, orc.data, atol=1e-11)
 
 
 def test_projective_raw_riemann_consistency():
@@ -607,13 +603,13 @@ def test_projective_raw_riemann_consistency():
     alg = algebra("projective", q=q)
     rng = np.random.default_rng(415)
     R = ref_riemann_projection(rng.uniform(-1.0, 1.0, (q, q, q, q)), "projective")
-    ric = ricci_from_riemann(R)
+    ric = ref_ricci_from_riemann(R)
     k0 = curvature_from_riemann(alg, R)
     # the embedded curvature's trace is the transposed raw Ricci
     np.testing.assert_allclose(trace_kappa0(alg, k0), ric.T, atol=1e-12)
-    cf = gamma_projective(q, R)
+    cf = _gamma_projective(q, ric)
     orc = oracle_gamma(alg, k0)
-    np.testing.assert_allclose(cf.gamma.data, orc.gamma.data, atol=1e-11)
+    np.testing.assert_allclose(cf, orc.data, atol=1e-11)
 
 
 def test_projective_vs_rank_one_grassmannian_correspondence():
@@ -630,7 +626,7 @@ def test_projective_vs_rank_one_grassmannian_correspondence():
     for name, alg in (("projective", proj), ("grassmannian", gras)):
         gamma = OneCochain(1, G)
         k0 = deformation_delta_kappa0(alg, gamma)
-        rec = gamma_closed_form(alg, k0).gamma.data
+        rec = gamma_closed_form(alg, k0).data
         assert np.abs(rec - G).max() <= 1e-11
         out[name] = rec
     gap = float(np.abs(out["projective"] - out["grassmannian"]).max())
