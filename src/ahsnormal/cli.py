@@ -10,6 +10,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import json
 import os
@@ -96,7 +97,7 @@ def _emit(report: dict, output: str | None) -> None:
         rows = json.dumps(a.tolist(), allow_nan=False)[2:-2]
         rows = rows.replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
         text = text.replace(json.dumps(marks[k]), f"[\n    [\n      {rows}\n    ]\n  ]", 1)
-    if output:
+    if output is not None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -105,10 +106,13 @@ def _emit(report: dict, output: str | None) -> None:
 
 def _check_output(output: str | None) -> None:
     """Raise the OSError that writing ``output`` would raise where it is known
-    before anything is created: a directory, or a missing parent directory."""
-    if output and os.path.isdir(output):
+    before anything is created: an empty path, a directory, or a missing
+    parent directory."""
+    if output is None:
+        return
+    if os.path.isdir(output):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
-    if output and not os.path.isdir(os.path.dirname(output) or "."):
+    if not (output and os.path.isdir(os.path.dirname(output) or ".")):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output)
 
 
@@ -423,9 +427,11 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     for idx, (kind, params) in enumerate(points):
         alg = build_algebra(kind, **params)
         if args.debug_mutate:
-            i, j, k = np.unravel_index(graded_algebra._flat_nonzero(alg.C)[0], alg.C.shape)
-            alg.C[i, j, k] *= -1.0
-            alg.C[j, i, k] *= -1.0
+            C = alg.C.copy()
+            i, j, k = np.unravel_index(graded_algebra._flat_nonzero(C)[0], C.shape)
+            C[i, j, k] *= -1.0
+            C[j, i, k] *= -1.0
+            alg = dataclasses.replace(alg, C=C)
         rng = np.random.default_rng([args.seed, idx])
         checks = _verify_point(alg, rng, args.samples, args.tolerance)
         passed = all(c["passed"] for c in checks)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import copy
 import errno
 import mmap
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,9 +53,12 @@ class ParameterError(ValueError):
     """Raised when structure-kind parameters are outside the valid range."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class GradedLieAlgebra:
     """A |1|-graded semisimple Lie algebra in a fixed ordered basis.
+
+    A read-only value: its arrays cannot be written, so a changed algebra is
+    a copy made by ``dataclasses.replace``, and that copy starts with no parts.
 
     Attributes:
         kind: one of :data:`KINDS`.
@@ -75,6 +78,9 @@ class GradedLieAlgebra:
         projective_type: True for the gradings with nonvanishing first
             Spencer cohomology in the relevant degree (projective kind,
             grassmannian with p = 1 and q >= 2, spinorial with m = 3).
+        parts: what is derived from the algebra alone, such as its Spencer
+            complex, each made once by :meth:`part`; shared by every replay
+            of one point (:func:`_replay`).
     """
 
     kind: str
@@ -86,6 +92,18 @@ class GradedLieAlgebra:
     g0_blocks: dict[str, np.ndarray]
     normalizable: bool
     projective_type: bool
+    parts: dict = field(default_factory=dict, init=False)
+
+    def __post_init__(self) -> None:
+        _freeze([self.C, self.pairing, *self.g0_blocks.values()])
+
+    def part(self, name, build):
+        """``build()`` on the first call for ``name``, made read-only and kept in ``parts``."""
+        if name not in self.parts:
+            value = build()
+            _freeze(value)
+            self.parts[name] = value
+        return self.parts[name]
 
     # -- index helpers -------------------------------------------------
 
@@ -129,8 +147,8 @@ def build_algebra(kind: str, **params) -> GradedLieAlgebra:
     """Build one of the five graded algebras with validated parameters.
 
     Each point is built once per process and replayed from a sparse recipe
-    after that (:func:`_replay`); every call returns a private object, free
-    to mutate, whose fields equal a fresh build's bit for bit.
+    after that (:func:`_replay`); every call returns a new read-only object
+    whose fields equal a fresh build's bit for bit.
 
     Raises:
         ParameterError: unknown kind, missing parameters, or parameters
@@ -166,33 +184,35 @@ def build_algebra(kind: str, **params) -> GradedLieAlgebra:
     return _replay(_build_pair, m, 1 if kind == "lagrangian" else -1)
 
 
-# Sparse recipes by builder and arguments, oldest first.  A recipe holds no
-# dense array: a shared C would be flipped in place by ``verify
-# --debug-mutate`` or would keep its (dim g)^3 entries alive.  The bound must
-# stay at least 5, the distinct algebras of a normalize stream over the five
-# kinds at one point each, or which calls rebuild would depend on their order.
+# Sparse recipes by builder and arguments, oldest first, each with the parts
+# its replays share.  A recipe holds no dense array: a shared C would keep its
+# (dim g)^3 entries alive.  The bound must stay at least 5, the distinct
+# algebras of a normalize stream over the five kinds at one point each, or
+# which calls rebuild an algebra and its trace map would depend on their order.
 _RECIPES: dict[tuple, tuple] = {}
 _RECIPE_CACHE_SIZE = 8
 
 
 def _replay(build, *args) -> GradedLieAlgebra:
-    """``build(*args)`` on the first call, then a private replay of its
-    recipe: copies of the fields but C, the shape of C, and the flat
-    positions and values of C's nonzero entries, picked by bit pattern so
-    that a -0.0 entry would keep its sign."""
+    """``build(*args)`` on the first call, then a replay of its recipe:
+    copies of the fields but C, the shape of C, and the flat positions and
+    values of C's nonzero entries, picked by bit pattern so that a -0.0
+    entry would keep its sign.  Every replay shares the first build's parts."""
     key = (build.__name__, *args)
     if key not in _RECIPES:
         alg = build(*args)
         if len(_RECIPES) >= _RECIPE_CACHE_SIZE:
             del _RECIPES[next(iter(_RECIPES))]
         nz = _flat_nonzero(alg.C.view(np.int64))
-        small = {f.name: getattr(alg, f.name) for f in fields(alg) if f.name != "C"}
-        _RECIPES[key] = (copy.deepcopy(small), alg.C.shape, nz, alg.C.ravel()[nz])
+        small = {f.name: getattr(alg, f.name) for f in fields(alg) if f.init and f.name != "C"}
+        _RECIPES[key] = (copy.deepcopy(small), alg.C.shape, nz, alg.C.ravel()[nz], alg.parts)
         return alg
-    small, shape, nz, vals = _RECIPES[key]
+    small, shape, nz, vals, parts = _RECIPES[key]
     C = np.zeros(shape)
     C.ravel()[nz] = vals
-    return GradedLieAlgebra(C=C, **copy.deepcopy(small))
+    alg = GradedLieAlgebra(C=C, **copy.deepcopy(small))
+    object.__setattr__(alg, "parts", parts)
+    return alg
 
 
 def _check_dim(kind: str, dim: int) -> None:
@@ -745,12 +765,29 @@ class Blocks:
         return (self.T @ np.asarray(x).T).T
 
 
+def _freeze(value) -> None:
+    """Make every array in ``value`` (nested in tuples, lists, Triplets and
+    Blocks) read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (Triplets, Blocks)):
+        _freeze(list(vars(value).values()))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _freeze(item)
+
+
 def _ad_g1(alg: GradedLieAlgebra) -> Triplets:
-    """ad: g_1 -> g_{-1}^* (x) g_0; column w is the one-cochain x_a -> [z_w, x_a]
-    in the (a, c) column slots of :func:`ahsnormal.spencer.d_triplets` at grade 0,
-    so their product is d ad."""
+    """ad: g_1 -> g_{-1}^* (x) g_0, a part of the algebra; column w is the
+    one-cochain x_a -> [z_w, x_a] in the (a, c) column slots of
+    :func:`ahsnormal.spencer.d_triplets` at grade 0, so their product is d ad."""
     n, n0, n1 = alg.dims
-    return Triplets.from_dense(alg.block(1, -1).reshape(n1, n * n0).T)
+    return alg.part("ad", lambda: Triplets.from_dense(alg.block(1, -1).reshape(n1, n * n0).T))
+
+
+def _ad_rank(alg: GradedLieAlgebra) -> int:
+    """Rank of :func:`_ad_g1`, a part of the algebra."""
+    return alg.part("ad_rank", lambda: Blocks.split(_ad_g1(alg)).rank())
 
 
 def grading_residual(alg: GradedLieAlgebra) -> float:
@@ -800,7 +837,7 @@ def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
     act = Triplets.from_dense(alg.block(0, -1).reshape(n0, n * n))
     return {
         "g0_on_gm1": (Blocks.split(act).rank(), n0),
-        "g1_to_hom": (Blocks.split(_ad_g1(alg)).rank(), n1),
+        "g1_to_hom": (_ad_rank(alg), n1),
     }
 
 

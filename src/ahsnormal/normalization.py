@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _pair_table, _pairs
-from .spencer import (OneCochain, TwoCochain, _check_one, _check_two, _complex, spencer_d,
+from .spencer import (OneCochain, TwoCochain, _check_one, _check_two, _Complex, spencer_d,
                       spencer_dstar)
 
 # Fixed thresholds, each relative to max(1, largest entry), of
@@ -287,27 +287,26 @@ def trace_map_matrix(alg: GradedLieAlgebra) -> Triplets:
     g_{-1}^* (x) g_1, both in C order.  Tr(delta kappa0(Gamma))[x, v] is
     <z_v, x_v> d*(d Gamma)[x, v], so the map is d* d on grade-1 one-cochains
     with row (x, v) scaled by the (diagonal) pairing entry of v; d* d comes
-    from the algebra's cached Spencer complex.
+    from the algebra's Spencer complex.
     """
-    M = _complex(alg).dstar_d(0)
+    M = _Complex(alg).dstar_d(0)
     return Triplets(M.rows, M.cols, np.diag(alg.pairing)[M.rows % alg.dims[2]] * M.vals, M.shape)
 
 
 def _trace_map_inverse(alg: GradedLieAlgebra) -> tuple[Triplets, Blocks, int]:
     """The trace map's triplets, their block pseudo-inverse and the rank.
 
-    Factored once per algebra content, as a part of the algebra's cached
-    Spencer complex (:func:`ahsnormal.spencer._complex`), whose key holds
-    all that :func:`trace_map_matrix` reads; an algebra whose structure
-    constants change therefore never gets a stale factorization.  The
-    returned arrays are shared and read-only.
+    Factored once per algebra, as one of its parts
+    (:meth:`ahsnormal.graded_algebra.GradedLieAlgebra.part`); a changed
+    copy starts with no parts, so it never gets a stale factorization.
+    The returned arrays are shared and read-only.
     """
 
     def factor():
         M = trace_map_matrix(alg)
         return (M, *Blocks.split(M).pinv())
 
-    return _complex(alg).part("trace_map", factor)
+    return alg.part("trace_map", factor)
 
 
 def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> OneCochain:
@@ -317,7 +316,7 @@ def oracle_gamma(alg: GradedLieAlgebra, kappa0: TwoCochain) -> OneCochain:
     triplets) is inverted one connected block at a time
     (:meth:`ahsnormal.graded_algebra.Blocks.pinv`), which also gives its kernel
     dimension.  The factorization depends only on the algebra, so it is
-    made once per algebra content and reused by every later solve and by
+    made once per algebra and reused by every later solve and by
     :func:`uniqueness_certificate`; only Tr kappa0 is computed per call.
     ``ORACLE_RESIDUAL_TOL`` bounds only the solve's residual, relative to
     max(1, max|Tr kappa0|); it plays no part in the kernel count.

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _ad_g1, _pair_table
+from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _ad_g1, _ad_rank, _pair_table
 
 ONE_COCHAIN_GRADES = (0, 1)
 TWO_COCHAIN_GRADES = (-1, 0)
@@ -110,7 +110,7 @@ def spencer_d(alg: GradedLieAlgebra, psi: OneCochain) -> TwoCochain:
 def spencer_dstar(alg: GradedLieAlgebra, phi: TwoCochain) -> OneCochain:
     """Spencer codifferential (d* phi)(X) = sum_a [z^a, phi(x_a, X)]."""
     _check_two(alg, phi)
-    out = dstar_triplets(alg, phi.grade) @ phi.data.reshape(-1)
+    out = _Complex(alg).dstar(phi.grade) @ phi.data.reshape(-1)
     return OneCochain(phi.grade + 1, out.reshape(alg.dims[0], -1))
 
 
@@ -196,42 +196,14 @@ def _pair_cols(S: Triplets, n: int) -> Triplets:
     )
 
 
-# The parts of the Spencer complexes by algebra content, oldest first (see
-# _complex).  The bound must stay at least 5, the number of distinct algebras
-# in a stream of normalize calls over the five kinds at one point each: with
-# fewer, which calls rebuild the trace map would depend on the order the
-# calls arrive in.
-_COMPLEXES: dict[tuple, dict] = {}
-_COMPLEXES_SIZE = 8
-
-
-def _freeze(value) -> None:
-    """Make every array in ``value`` (nested in tuples, lists, Triplets and
-    Blocks) read-only."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif isinstance(value, (Triplets, Blocks)):
-        _freeze(list(vars(value).values()))
-    elif isinstance(value, (tuple, list)):
-        for item in value:
-            _freeze(item)
-
-
 class _Complex:
     """The Spencer complex of one algebra: its triplets, ranks and block
-    pseudo-inverses, each made on first use and kept in ``parts``, the
-    cached dict of the algebra's content (:func:`_complex`).  Parts are
-    shared, so their arrays are read-only; none is a dense operator."""
+    pseudo-inverses, each made on first use and kept read-only in the
+    algebra's ``parts`` (:meth:`GradedLieAlgebra.part`); none is a dense
+    operator."""
 
-    def __init__(self, alg: GradedLieAlgebra, parts: dict):
-        self.alg, self.parts = alg, parts
-
-    def part(self, name, build):
-        if name not in self.parts:
-            value = build()
-            _freeze(value)
-            self.parts[name] = value
-        return self.parts[name]
+    def __init__(self, alg: GradedLieAlgebra):
+        self.alg, self.part = alg, alg.part
 
     def d(self, one_grade: int) -> Triplets:
         return self.part(("d", one_grade), lambda: d_triplets(self.alg, one_grade))
@@ -261,33 +233,9 @@ class _Complex:
         return self.part(("dstar_d_pinv", two_grade),
                          lambda: Blocks.split(self.dstar_d(two_grade)).pinv())
 
-    def ad(self) -> Triplets:
-        return self.part("ad", lambda: _ad_g1(self.alg))
-
     def d_ad(self) -> Triplets:
         """d ad, empty for a Jacobi-exact structure tensor."""
-        return self.part("d_ad", lambda: self.d(0) @ self.ad())
-
-
-def _complex(alg: GradedLieAlgebra) -> _Complex:
-    """The Spencer complex of ``alg``, on the parts cached for its content.
-
-    The key holds all that the parts read: the dims, the pairing diagonal
-    and the nonzero positions and values of C[g_0, g_{-1}], C[g_1, g_{-1}]
-    and C[g_1, g_0] (the triplet builders skip zeros of either sign).  An
-    algebra whose structure constants change therefore never gets a stale
-    part.
-    """
-    key = (tuple(alg.dims), np.diag(alg.pairing).tobytes())
-    for B in (alg.block(0, -1), alg.block(1, -1), alg.block(1, 0)):
-        nz = np.flatnonzero(B)
-        key += (nz.tobytes(), B[np.unravel_index(nz, B.shape)].tobytes())
-    parts = _COMPLEXES.get(key)
-    if parts is None:
-        if len(_COMPLEXES) >= _COMPLEXES_SIZE:
-            del _COMPLEXES[next(iter(_COMPLEXES))]
-        parts = _COMPLEXES[key] = {}
-    return _Complex(alg, parts)
+        return self.part("d_ad", lambda: self.d(0) @ _ad_g1(self.alg))
 
 
 def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
@@ -308,7 +256,7 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
     vanish, so the a < b rows carry its rank.  d* d is the product of the
     full operators.  Every rank is :meth:`Blocks.rank` on triplets (that
     of d* d comes with its pseudo-inverse), taken once per algebra in its
-    cached Spencer complex (:func:`_complex`) and shared with
+    Spencer complex (:class:`_Complex`) and shared with
     :func:`cohomology_dim`, the trace map and the harmonic sampler.
 
     The dense :func:`d_matrix` and :func:`dstar_matrix` are built here only
@@ -326,7 +274,7 @@ def complementarity_check(alg: GradedLieAlgebra, two_grade: int) -> dict:
     n = alg.dims[0]
     nv = _value_dim(alg, two_grade)
     total = (n * (n - 1) // 2) * nv
-    cx = _complex(alg)
+    cx = _Complex(alg)
     r_im = cx.d_rank(two_grade + 1)
     inter = r_im - cx.dstar_d_pinv(two_grade)[1]
     r_ker = total - cx.dstar_rank(two_grade)
@@ -348,16 +296,16 @@ def cohomology_dim(alg: GradedLieAlgebra, level: str) -> int:
     into that spot because the grading stops at g_1.  The rank of d is
     read off its a < b rows, ``_pair_cols(D.T, n)`` as in
     :func:`complementarity_check`, and every rank, that of ad included, is
-    :meth:`Blocks.rank`, each taken once per algebra in its cached Spencer
-    complex.  The closure of the ad image is checked exactly: any nonzero
-    entry of d ad raises.
+    :meth:`Blocks.rank`, each taken once per algebra in its Spencer complex
+    (the rank of ad shared with the faithfulness check).  The closure of the
+    ad image is checked exactly: any nonzero entry of d ad raises.
     """
     n, n0, n1 = alg.dims
-    cx = _complex(alg)
+    cx = _Complex(alg)
     if level == "H11":
         if cx.d_ad().vals.size:
             raise AssertionError("ad image is not d-closed; structure tensor corrupt")
-        return n * n0 - cx.d_rank(0) - cx.part("ad_rank", lambda: Blocks.split(cx.ad()).rank())
+        return n * n0 - cx.d_rank(0) - _ad_rank(alg)
     if level == "H21":
         return n * n1 - cx.d_rank(1)
     raise ValueError(f"level must be 'H11' or 'H21', got {level!r}")

@@ -14,14 +14,14 @@ import functools
 import numpy as np
 import pytest
 
-from ahsnormal import build_algebra, normalization, spencer
+from ahsnormal import build_algebra, graded_algebra, normalization
 from ahsnormal.graded_algebra import Blocks, Triplets, _pairs, rank_cutoff
 from ahsnormal.normalization import deformation_delta_kappa0, trace_kappa0
 from ahsnormal.spencer import (
     OneCochain,
     TwoCochain,
+    _Complex,
     _check_two,
-    _complex,
     _value_dim,
     dstar_matrix,
     spencer_d,
@@ -86,8 +86,9 @@ def algebra(kind: str, **params):
 
 @pytest.fixture
 def trace_map_builds(monkeypatch):
-    """Empty the trace map's factorization cache, then list the algebra of
-    every ``normalization.trace_map_matrix`` call."""
+    """Empty the recipe cache and the cached algebras, so that every algebra
+    built after this starts with no parts, then list the algebra of every
+    ``normalization.trace_map_matrix`` call."""
     builds = []
     real = normalization.trace_map_matrix
 
@@ -96,7 +97,8 @@ def trace_map_builds(monkeypatch):
         return real(alg)
 
     monkeypatch.setattr(normalization, "trace_map_matrix", counting)
-    spencer._COMPLEXES.clear()
+    graded_algebra._RECIPES.clear()
+    _cached.cache_clear()
     return builds
 
 
@@ -198,7 +200,7 @@ def ref_harmonic_decompose(alg, t: TwoCochain) -> tuple[TwoCochain, OneCochain]:
     makes the split deterministic.
     """
     _check_two(alg, t)
-    cx = _complex(alg)
+    cx = _Complex(alg)
     P, S = cx.dstar_d_pinv(t.grade)[0], cx.dstar(t.grade)
     psi = OneCochain(t.grade + 1, (P @ (S @ t.data.reshape(-1))).reshape(alg.dims[0], -1))
     harm = TwoCochain(t.grade, t.data - spencer_d(alg, psi).data)

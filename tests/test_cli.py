@@ -239,8 +239,8 @@ def test_normalize_factors_the_trace_map_once_per_algebra(trace_map_builds, tmp_
 
 
 def test_unwritable_output_exits_validation(tmp_path, capsys, monkeypatch):
-    # a directory, and a file in a directory that does not exist
-    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+    # a directory, a file in a directory that does not exist, and an empty path
+    for target in (tmp_path, tmp_path / "missing" / "report.json", ""):
         argv = ["algebra-info", "--kind", "conformal", "--m", "3", "--output", str(target)]
         assert main(argv) == EXIT_VALIDATION
         out, err = capsys.readouterr()
@@ -254,7 +254,7 @@ def test_unwritable_output_exits_validation(tmp_path, capsys, monkeypatch):
         raise AssertionError("verify ran a point before refusing --output")
 
     monkeypatch.setattr(cli, "_verify_point", no_point)
-    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+    for target in (tmp_path, tmp_path / "missing" / "report.json", ""):
         argv = ["verify", "--kind", "lagrangian", "--m", "6", "--output", str(target)]
         assert main(argv) == EXIT_VALIDATION
         out, err = capsys.readouterr()
@@ -598,6 +598,23 @@ def test_verify_debug_mutate_detects_corruption(tmp_path):
     (point,) = rep["points"]
     checks = {c["check"]: c["passed"] for c in point["checks"]}
     assert checks["jacobi"] is False
+
+
+def test_debug_mutate_verifies_a_copy_with_parts_of_its_own(tmp_path, monkeypatch):
+    seen = []
+    real = cli._verify_point
+
+    def spy(alg, *args):
+        seen.append(alg)
+        return real(alg, *args)
+
+    monkeypatch.setattr(cli, "_verify_point", spy)
+    argv = ["verify", "--kind", "lagrangian", "--m", "3", "--samples", "1", "--debug-mutate"]
+    assert run_to_file(tmp_path, "v.json", argv)[0] == EXIT_INVARIANT
+    (mutated,) = seen
+    intact = graded_algebra.build_algebra("lagrangian", m=3)
+    assert mutated.parts is not intact.parts
+    assert np.count_nonzero(mutated.C != intact.C) == 2
 
 
 def test_verify_jacobi_is_exact_whatever_the_tolerance(tmp_path):

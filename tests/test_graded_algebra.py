@@ -23,6 +23,7 @@ from ahsnormal import (
     serialize,
 )
 from ahsnormal.graded_algebra import Blocks, Triplets, rank_cutoff
+from ahsnormal.normalization import uniqueness_certificate
 
 
 def coeffs(alg, a: str, b: str) -> dict[str, float]:
@@ -418,23 +419,43 @@ def test_replayed_algebra_equals_a_fresh_build(recipes, kind, params):
     assert_same_algebra(second, fresh_build(kind, params))
 
 
-def mutate_every_field(alg) -> None:
-    alg.C[alg.C != 0.0] *= -1.0
-    alg.pairing[0, 0] = 7.0
-    next(iter(alg.g0_blocks.values()))[0] += 1.0
-    alg.labels[0] = "mutated"
-    alg.params["extra"] = 1
+def assert_read_only(alg) -> None:
+    """Writing into any array of ``alg`` raises, and so does rebinding a field."""
+    for array in (alg.C, alg.pairing, *alg.g0_blocks.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alg.C = alg.C.copy()
 
 
 @pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
 def test_replayed_algebras_are_independent_copies(recipes, kind, params):
     clean = fresh_build(kind, params)
     built = build_algebra(kind, **params)  # the builder's own result
-    mutate_every_field(built)
     replayed = build_algebra(kind, **params)
-    assert_same_algebra(replayed, clean)
-    mutate_every_field(replayed)
+    for alg in (built, replayed):
+        assert_read_only(alg)
+        alg.labels[0] = "mutated"  # the small fields are private copies
+        alg.params["extra"] = 1
     assert_same_algebra(build_algebra(kind, **params), clean)
+
+
+@pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
+def test_replays_of_a_point_share_its_parts(recipes, kind, params):
+    first = build_algebra(kind, **params)
+    faithfulness_ranks(first)
+    second = build_algebra(kind, **params)
+    assert second is not first and second.parts is first.parts
+    assert {"ad", "ad_rank"} <= second.parts.keys()
+
+
+def test_a_replaced_copy_starts_with_no_parts(recipes):
+    alg = build_algebra("lagrangian", m=3)
+    faithfulness_ranks(alg)
+    for copy in (dataclasses.replace(alg), dataclasses.replace(alg, C=alg.C.copy())):
+        assert copy.parts == {} and copy.parts is not alg.parts
+        assert_read_only(copy)
+    assert {"ad", "ad_rank"} <= alg.parts.keys()
 
 
 def test_one_build_per_point_over_normalize_rounds(recipes, tmp_path):
@@ -474,3 +495,19 @@ def test_ninth_point_evicts_the_oldest_recipe(recipes):
     build_algebra("conformal", m=3)
     assert recipes[("_build_conformal", 3)] == 2
     assert recipes[("_build_projective", 2)] == 1
+
+
+def test_evicting_a_recipe_drops_its_parts(recipes, trace_map_builds):
+    others = [("conformal", {"m": m}) for m in (4, 5)] + [("projective", {"q": q}) for q in (2, 3)]
+    others += [("lagrangian", {"m": 3}), ("spinorial", {"m": 3}), ("grassmannian", {"p": 1, "q": 2}),
+               ("grassmannian", {"p": 2, "q": 2})]
+    assert len(others) == graded_algebra._RECIPE_CACHE_SIZE
+    first = build_algebra("conformal", m=3)
+    uniqueness_certificate(first)
+    uniqueness_certificate(build_algebra("conformal", m=3))  # a replay: no new trace map
+    for kind, params in others:
+        build_algebra(kind, **params)
+    again = build_algebra("conformal", m=3)
+    assert again.parts == {} and again.parts is not first.parts
+    uniqueness_certificate(again)
+    assert trace_map_builds == [first, again]

@@ -17,7 +17,7 @@ from conftest import (
     ref_riemann_projection,
 )
 
-from ahsnormal import spencer
+from ahsnormal import build_algebra, graded_algebra
 from ahsnormal.graded_algebra import _pairs
 from ahsnormal.normalization import (
     NonUniquenessError,
@@ -452,7 +452,7 @@ def test_trace_map_cache_changes_no_answer(kind, params, trace_map_builds):
     warm = _solve(alg, k0)
     warm_kernel = uniqueness_certificate(alg)["kernel_dim"]
     assert len(trace_map_builds) == 1
-    spencer._COMPLEXES.clear()
+    alg.parts.clear()
     assert _solve(alg, k0) == warm
     assert len(trace_map_builds) == 2
     if alg.normalizable:
@@ -484,7 +484,7 @@ def _spencer_answers(alg):
              for grade in (-1, 0)], z_drop_residual(alg))
 
 
-def test_trace_map_cache_keys_on_content(trace_map_builds):
+def test_a_changed_copy_never_reads_its_source_s_parts(trace_map_builds):
     alg = algebra("grassmannian", p=2, q=3)
     k0 = random_kappa0(alg, np.random.default_rng(1502))
     pairing = alg.pairing.copy()
@@ -494,12 +494,13 @@ def test_trace_map_cache_keys_on_content(trace_map_builds):
     _solve(alg, k0)
     intact = _spencer_answers(alg)
     for changed in copies:
-        first = _solve(changed, k0)  # alg and the earlier copies are cached
+        first = _solve(changed, k0)  # alg and the earlier copies keep their parts
         assert trace_map_builds[-1] is changed
         assert first != _solve(alg, k0)
         warm = _spencer_answers(changed)
         assert warm[2] != intact[2]
-        spencer._COMPLEXES.clear()
+        changed.parts.clear()
+        alg.parts.clear()
         assert _solve(changed, k0) == first
         assert _spencer_answers(changed) == warm
         _solve(alg, k0)
@@ -507,19 +508,23 @@ def test_trace_map_cache_keys_on_content(trace_map_builds):
 
 
 def test_trace_map_cache_is_bounded(trace_map_builds):
-    # at least the five kinds of a normalize stream fit, so its builds do not
-    # depend on the order of its requests
-    bound = spencer._COMPLEXES_SIZE
+    # the parts live as long as their point's recipe; at least the five kinds
+    # of a normalize stream fit, so its builds do not depend on the order of
+    # its requests
+    bound = graded_algebra._RECIPE_CACHE_SIZE
     assert bound >= 5
-    algs = [algebra(kind, **params) for kind, params in GRID[: bound + 2]]
-    for alg in algs:
-        uniqueness_certificate(alg)
-    assert len(spencer._COMPLEXES) == bound
-    uniqueness_certificate(algs[-1])  # newest kept
+    points = GRID[: bound + 2]
+    for kind, params in points:
+        uniqueness_certificate(build_algebra(kind, **params))
+    assert len(graded_algebra._RECIPES) == bound
+    kind, params = points[-1]
+    uniqueness_certificate(build_algebra(kind, **params))  # newest kept
     assert len(trace_map_builds) == bound + 2
-    uniqueness_certificate(algs[0])  # oldest evicted first
-    assert trace_map_builds[-1] is algs[0]
-    assert len(spencer._COMPLEXES) == bound
+    kind, params = points[0]
+    oldest = build_algebra(kind, **params)
+    uniqueness_certificate(oldest)  # oldest evicted first
+    assert trace_map_builds[-1] is oldest
+    assert len(graded_algebra._RECIPES) == bound
 
 
 # ---------------------------------------------------------------------------

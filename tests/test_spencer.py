@@ -14,7 +14,7 @@ import pytest
 from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id, ref_harmonic_decompose
 from test_kernel_references import ref_d_matrix, ref_dstar_matrix
 
-from ahsnormal import cli, spencer
+from ahsnormal import build_algebra, cli, graded_algebra
 from ahsnormal.graded_algebra import HUGE_PAGE_ADVICE_BYTES, Blocks
 from ahsnormal.spencer import (
     OneCochain,
@@ -317,18 +317,18 @@ def _split_calls(monkeypatch, argv) -> int:
         return split(cls, A)
 
     monkeypatch.setattr(Blocks, "split", classmethod(counting))
-    spencer._COMPLEXES.clear()
+    graded_algebra._RECIPES.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     return len(calls)
 
 
 def test_one_split_per_operator(monkeypatch):
-    # per point: three structural splits, the a < b forms of d at grades 0
-    # and 1 and of d* at grades -1 and 0, d* d at grades -1 and 0, ad and
-    # the trace map, each once
-    assert _split_calls(monkeypatch, ["verify", "--kind", "lagrangian", "--m", "4"]) == 11
-    assert _split_calls(monkeypatch, ["verify"]) == 187
+    # per point: the center, the g_0 action and ad, the a < b forms of d at
+    # grades 0 and 1 and of d* at grades -1 and 0, d* d at grades -1 and 0,
+    # and the trace map, each once; ad's rank serves faithfulness and H11
+    assert _split_calls(monkeypatch, ["verify", "--kind", "lagrangian", "--m", "4"]) == 10
+    assert _split_calls(monkeypatch, ["verify"]) == 170
 
 
 def _arrays(value):
@@ -342,11 +342,10 @@ def _arrays(value):
 
 
 def test_complex_parts_are_read_only_and_sparse():
-    spencer._COMPLEXES.clear()
+    graded_algebra._RECIPES.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--kind", "lagrangian", "--m", "4", "--samples", "1"]) == 0
-    (parts,) = spencer._COMPLEXES.values()
-    arrays = list(_arrays(list(parts.values())))
+    arrays = list(_arrays(list(build_algebra("lagrangian", m=4).parts.values())))
     assert arrays and not any(a.flags.writeable for a in arrays)
     alg = algebra("lagrangian", m=4)
     smallest_dense = min(d_matrix(alg, 0).nbytes, d_matrix(alg, 1).nbytes)
@@ -363,9 +362,9 @@ def _report(argv) -> str:
 def test_debug_mutate_report_does_not_depend_on_the_cache():
     mutated = ["verify", "--kind", "lagrangian", "--m", "4", "--samples", "1", "--debug-mutate"]
     intact = mutated[:-1]
-    spencer._COMPLEXES.clear()
+    graded_algebra._RECIPES.clear()
     cold = _report(mutated), _report(intact)
-    spencer._COMPLEXES.clear()
+    graded_algebra._RECIPES.clear()
     intact_first = _report(intact)
     assert (_report(mutated), intact_first) == cold
     assert cold[0].endswith("exit 4") and cold[1].endswith("exit 0")
