@@ -149,7 +149,7 @@ def _grid(args: argparse.Namespace) -> list[tuple[str, dict]]:
 def cmd_algebra_info(args: argparse.Namespace) -> tuple[dict, int]:
     alg = build_algebra(args.kind, **_point(args))
     n, n0, n1 = alg.dims
-    nnz = int(np.count_nonzero(alg.C))
+    nnz = alg.C.vals.size
     check = cross_check_matrix_rep(alg)
     report = {
         "kind": alg.kind,
@@ -158,7 +158,7 @@ def cmd_algebra_info(args: argparse.Namespace) -> tuple[dict, int]:
         "labels": list(alg.labels),
         "center_dim": center_dim(alg),
         "structure_constants_nonzero": nnz,
-        "structure_constants_density": nnz / float(alg.C.size),
+        "structure_constants_density": nnz / float(alg.n_total**3),
         "matrix_rep_check": {
             "max_discrepancy": check["max_discrepancy"],
             "sector_scalars": check["sector_scalars"],
@@ -427,11 +427,12 @@ def cmd_verify(args: argparse.Namespace) -> tuple[dict, int]:
     for idx, (kind, params) in enumerate(points):
         alg = build_algebra(kind, **params)
         if args.debug_mutate:
-            C = alg.C.copy()
-            i, j, k = np.unravel_index(graded_algebra._flat_nonzero(C)[0], C.shape)
-            C[i, j, k] *= -1.0
-            C[j, i, k] *= -1.0
-            alg = dataclasses.replace(alg, C=C)
+            # flip the first nonzero C[i, j, k] and its partner C[j, i, k]
+            C, N = alg.C, alg.n_total
+            i, j = divmod(int(C.rows[0]), N)
+            vals = C.vals.copy()
+            vals[((C.rows == C.rows[0]) | (C.rows == j * N + i)) & (C.cols == C.cols[0])] *= -1.0
+            alg = dataclasses.replace(alg, C=graded_algebra.Triplets(C.rows, C.cols, vals, C.shape))
         rng = np.random.default_rng([args.seed, idx])
         checks = _verify_point(alg, rng, args.samples, args.tolerance)
         passed = all(c["passed"] for c in checks)

@@ -11,18 +11,19 @@ dual to each other under an invariant pairing:
 * ``spinorial``     so(m, m), g_{-1} = Lambda^2 R^m, g_0 = gl(m)
 
 Structure constants are assembled from explicit bracket rules on basis
-generators and stored as a dense tensor whose entries are exact dyadic
-rationals, so antisymmetry, the grading, and the Jacobi identity hold
-exactly in float64 arithmetic.  A block-matrix realization of each family
-serves as an independent oracle (:func:`cross_check_matrix_rep`).
+generators and stored as the sorted triplets of their nonzero entries, each
+an exact dyadic rational, so antisymmetry, the grading, and the Jacobi
+identity hold exactly in float64 arithmetic.  A block-matrix realization
+of each family serves as an independent oracle (:func:`cross_check_matrix_rep`).
 """
 
 from __future__ import annotations
 
-import copy
 import errno
+import functools
 import mmap
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,13 +36,12 @@ KINDS = ("conformal", "grassmannian", "projective", "lagrangian", "spinorial")
 # max(1, smax) or above 0.10 * max(1, smax), so no rank depends on RANK_TOL.
 RANK_TOL = 1e-9
 
-# Largest dim g built: the dense structure tensor of (dim g)^3 float64
-# entries, the first thing every command builds, stays within 1 GiB.
+# Largest dim g built.  C is sparse; the bound caps its dense blocks, each under (dim g)^3
+# float64 entries (1 GiB).  At the edge, projective q = 21, C[g_0, g_0, g_0] takes 686 MB and
+# the largest, C over g_{-1} + g_0 in verify's second-torsion check, 789 MB.
 MAX_DIM = 512
 
-# Entries per chunk of the whole-array scans: the largest mask the flat
-# nonzero scan (_flat_nonzero) holds, and the matrix entries per batch of
-# cross_check_matrix_rep.
+# Matrix entries per batch of cross_check_matrix_rep.
 CHUNK_ENTRIES = 1 << 16
 
 # Size from which numpy advises huge pages for an array's memory, and from
@@ -62,12 +62,15 @@ class GradedLieAlgebra:
 
     Attributes:
         kind: one of :data:`KINDS`.
-        params: the validated structure parameters, e.g. ``{"p": 2, "q": 3}``.
+        params: the validated structure parameters, e.g. ``{"p": 2, "q": 3}``,
+            as a read-only mapping.
         dims: ``(dim g_{-1}, dim g_0, dim g_1)``.
         labels: human-readable basis labels, flat across the three grades in
-            order g_{-1}, g_0, g_1.
-        C: dense structure tensor, ``[b_i, b_j] = sum_k C[i, j, k] b_k``.
-            All entries are exact dyadic rationals.
+            order g_{-1}, g_0, g_1, as a tuple.
+        C: the structure constants ``[b_i, b_j] = sum_k C[i, j, k] b_k`` as
+            (N^2, N) :class:`Triplets`, N = dim g: row ``i * N + j``, column
+            ``k``, one per nonzero entry, in C order.  All entries are exact
+            dyadic rationals; dense blocks come from :meth:`block`.
         pairing: matrix ``P[u, a] = <z_u, x_a>`` of the invariant pairing
             between g_1 and g_{-1} (diagonal in every family).
         g0_blocks: per-family block realization of the g_0 basis, used for
@@ -78,23 +81,25 @@ class GradedLieAlgebra:
         projective_type: True for the gradings with nonvanishing first
             Spencer cohomology in the relevant degree (projective kind,
             grassmannian with p = 1 and q >= 2, spinorial with m = 3).
-        parts: what is derived from the algebra alone, such as its Spencer
-            complex, each made once by :meth:`part`; shared by every replay
-            of one point (:func:`_replay`).
+        parts: what is derived from the algebra alone, such as its dense
+            blocks and its Spencer complex, each made once by :meth:`part`.
     """
 
     kind: str
-    params: dict
+    params: MappingProxyType
     dims: tuple[int, int, int]
-    labels: list[str]
-    C: np.ndarray
+    labels: tuple[str, ...]
+    C: Triplets
     pairing: np.ndarray
-    g0_blocks: dict[str, np.ndarray]
+    g0_blocks: MappingProxyType
     normalizable: bool
     projective_type: bool
     parts: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "g0_blocks", MappingProxyType(dict(self.g0_blocks)))
         _freeze([self.C, self.pairing, *self.g0_blocks.values()])
 
     def part(self, name, build):
@@ -122,16 +127,26 @@ class GradedLieAlgebra:
         raise ValueError(f"grade must be -1, 0 or 1, got {grade}")
 
     def block(self, gx: int, gy: int) -> np.ndarray:
-        """Structure-tensor block C[g_x basis, g_y basis, g_{x+y} basis]."""
+        """Structure-tensor block C[g_x basis, g_y basis, g_{x+y} basis], a part."""
         gz = gx + gy
         if abs(gz) > 1:
             raise ValueError("bracket grade out of range")
-        return self.C[self.grade_slice(gx), self.grade_slice(gy), self.grade_slice(gz)]
+        s = self.grade_slice
+        return self.part(("C", gx, gy), lambda: self.dense(s(gx), s(gy), s(gz)))
 
-    # -- core operations -----------------------------------------------
+    def nonzeros(self, si: slice, sj: slice, sk: slice) -> tuple[np.ndarray, ...]:
+        """(i, j, k, value) of the nonzero entries of C[si, sj, sk] in C order,
+        the indices counted from the block's corner."""
+        (i, j), k = np.divmod(self.C.rows, self.n_total), self.C.cols
+        keep = ((si.start <= i) & (i < si.stop) & (sj.start <= j) & (j < sj.stop)
+                & (sk.start <= k) & (k < sk.stop))
+        return i[keep] - si.start, j[keep] - sj.start, k[keep] - sk.start, self.C.vals[keep]
 
-    def bracket_full(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", x, y, self.C)
+    def dense(self, si: slice, sj: slice, sk: slice) -> np.ndarray:
+        """The dense block C[si, sj, sk] (:meth:`Triplets.dense`)."""
+        i, j, k, v = self.nonzeros(si, sj, sk)
+        ni, nj, nk = si.stop - si.start, sj.stop - sj.start, sk.stop - sk.start
+        return Triplets(i * nj + j, k, v, (ni * nj, nk)).dense().reshape(ni, nj, nk)
 
     def dual_basis(self) -> np.ndarray:
         """Matrix M with row a = g_1 coordinates of the dual vector z^a.
@@ -146,9 +161,8 @@ class GradedLieAlgebra:
 def build_algebra(kind: str, **params) -> GradedLieAlgebra:
     """Build one of the five graded algebras with validated parameters.
 
-    Each point is built once per process and replayed from a sparse recipe
-    after that (:func:`_replay`); every call returns a new read-only object
-    whose fields equal a fresh build's bit for bit.
+    Each point is built once per process (:func:`_shared`), and every call
+    for it returns that one read-only object.
 
     Raises:
         ParameterError: unknown kind, missing parameters, or parameters
@@ -167,60 +181,38 @@ def build_algebra(kind: str, **params) -> GradedLieAlgebra:
         if not (1 <= p <= q):
             raise ParameterError(f"grassmannian requires q >= p >= 1, got p = {p}, q = {q}")
         _check_dim(kind, (p + q) ** 2 - 1)
-        return _replay(_build_grassmannian, p, q)
+        return _shared(_build_grassmannian, p, q)
     if kind == "projective":
         q = _want_int(params, "q", kind)
         if q < 2:
             raise ParameterError(f"projective requires q >= 2, got q = {q}")
         _check_dim(kind, (q + 1) ** 2 - 1)
-        return _replay(_build_projective, q)
+        return _shared(_build_projective, q)
     m = _want_int(params, "m", kind)
     if m < 3:
         raise ParameterError(f"{kind} requires m >= 3, got m = {m}")
     _check_dim(kind, {"conformal": (m + 1) * (m + 2) // 2, "lagrangian": m * (2 * m + 1),
                       "spinorial": m * (2 * m - 1)}[kind])
     if kind == "conformal":
-        return _replay(_build_conformal, m)
-    return _replay(_build_pair, m, 1 if kind == "lagrangian" else -1)
+        return _shared(_build_conformal, m)
+    return _shared(_build_pair, m, 1 if kind == "lagrangian" else -1)
 
 
-# Sparse recipes by builder and arguments, oldest first, each with the parts
-# its replays share.  A recipe holds no dense array: a shared C would keep its
-# (dim g)^3 entries alive.  The bound must stay at least 5, the distinct
+# The algebras by builder and arguments, the least recently used dropped
+# first, each with its parts.  The bound must stay at least 5, the distinct
 # algebras of a normalize stream over the five kinds at one point each, or
 # which calls rebuild an algebra and its trace map would depend on their order.
-_RECIPES: dict[tuple, tuple] = {}
-_RECIPE_CACHE_SIZE = 8
-
-
-def _replay(build, *args) -> GradedLieAlgebra:
-    """``build(*args)`` on the first call, then a replay of its recipe:
-    copies of the fields but C, the shape of C, and the flat positions and
-    values of C's nonzero entries, picked by bit pattern so that a -0.0
-    entry would keep its sign.  Every replay shares the first build's parts."""
-    key = (build.__name__, *args)
-    if key not in _RECIPES:
-        alg = build(*args)
-        if len(_RECIPES) >= _RECIPE_CACHE_SIZE:
-            del _RECIPES[next(iter(_RECIPES))]
-        nz = _flat_nonzero(alg.C.view(np.int64))
-        small = {f.name: getattr(alg, f.name) for f in fields(alg) if f.init and f.name != "C"}
-        _RECIPES[key] = (copy.deepcopy(small), alg.C.shape, nz, alg.C.ravel()[nz], alg.parts)
-        return alg
-    small, shape, nz, vals, parts = _RECIPES[key]
-    C = np.zeros(shape)
-    C.ravel()[nz] = vals
-    alg = GradedLieAlgebra(C=C, **copy.deepcopy(small))
-    object.__setattr__(alg, "parts", parts)
-    return alg
+@functools.lru_cache(maxsize=8)
+def _shared(build, *args) -> GradedLieAlgebra:
+    return build(*args)
 
 
 def _check_dim(kind: str, dim: int) -> None:
     """Refuse parameters whose algebra dimension exceeds :data:`MAX_DIM`."""
     if dim > MAX_DIM:
         raise ParameterError(
-            f"{kind} parameters give dim g = {dim}; the dense structure tensor "
-            f"(dim g)^3 float64 entries must fit a 1 GiB budget, i.e. dim g <= {MAX_DIM}"
+            f"{kind} parameters give dim g = {dim}; each dense block of the structure tensor, "
+            f"under (dim g)^3 float64 entries, must fit a 1 GiB budget, i.e. dim g <= {MAX_DIM}"
         )
 
 
@@ -264,14 +256,28 @@ def _gl_basis(m: int) -> np.ndarray:
     return mats
 
 
-def _put_brackets(C: np.ndarray, i, j, k, v) -> None:
-    """Add [b_i, b_j] += v b_k and [b_j, b_i] -= v b_k over index arrays;
-    repeated entries accumulate."""
-    np.add.at(C, (i, j, k), v)
-    np.add.at(C, (j, i, k), -v)
+def _put_brackets(ent: list, i, j, k, v) -> None:
+    """Add [b_i, b_j] += v b_k and [b_j, b_i] -= v b_k over index arrays to
+    the entries ``ent``; repeated entries accumulate (:func:`_structure`)."""
+    i, j, k, v = np.broadcast_arrays(i, j, k, v)
+    ent += [(i, j, k, v), (j, i, k, -v)]
 
 
-def _fill_gl_internal(C: np.ndarray, m: int, o0: int) -> None:
+def _put_block(ent: list, D: np.ndarray, i0: int, j0: int, k0: int) -> None:
+    """:func:`_put_brackets` over the nonzero entries of the dense block ``D``
+    at C[i0:, j0:, k0:]."""
+    i, j, k = np.nonzero(D)
+    _put_brackets(ent, i0 + i, j0 + j, k0 + k, D[i, j, k])
+
+
+def _structure(N: int, ent: list) -> Triplets:
+    """The structure constants of the entries ``ent`` as (N^2, N) triplets:
+    repeats summed, zeros dropped, in C order."""
+    i, j, k, v = (np.concatenate([np.ravel(e[t]) for e in ent]) for t in range(4))
+    return Triplets.summed(i * N + j, k, v, (N * N, N))
+
+
+def _fill_gl_internal(C: list, m: int, o0: int) -> None:
     """gl(m) internal brackets [h(i,j), h(k,l)] = d_il h(k,j) - d_kj h(i,l).
 
     Each pair c1 = h(i,j) < c2 is visited only where a delta can fire:
@@ -302,7 +308,7 @@ def _build_conformal(m: int) -> GradedLieAlgebra:
     slot, sign = _pair_table(m, -1)  # F_ij = -F_ji
     ps, pt = np.triu_indices(m, 1)  # rot as index arrays
 
-    C = np.zeros((N, N, N))
+    C: list = []
     o0, o1 = n, n + n0
     of = o0 + 1  # F(k, l) = rot[t] sits at of + t
 
@@ -344,7 +350,7 @@ def _build_conformal(m: int) -> GradedLieAlgebra:
         params={"m": m},
         dims=(n, n0, n),
         labels=labels,
-        C=C,
+        C=_structure(N, C),
         pairing=np.eye(m),
         g0_blocks={"a": a_vec, "E": E_mats},
         normalizable=True,
@@ -408,39 +414,36 @@ def _build_grassmannian(p: int, q: int) -> GradedLieAlgebra:
         return np.concatenate([A[..., ov, ou], D[..., dv, du], np.cumsum(diag, axis=-1)[..., :-1]],
                               axis=-1)
 
-    C = np.zeros((N, N, N))
+    C: list = []
     o0, o1 = n, n + n0
     Ip, Iq = np.eye(p), np.eye(q)
 
     # [x^a_i, z^j_b] = (A, D) = (-delta_ij E_ba, delta_ab E_ij), indexed (a, i, b, j)
     xz = coords(-np.einsum("ij,rb,ca->aibjrc", Iq, Ip, Ip),
                 np.einsum("ab,ri,cj->aibjrc", Ip, Iq, Iq)).reshape(n, n, n0)
-    C[:n, o1:, o0:o1] = xz
-    C[o1:, :n, o0:o1] = -xz.transpose(1, 0, 2)
+    _put_block(C, xz, 0, o1, o0)
 
     # g_0 acting on g_{-1}: X -> D X - X A ; on g_1: Z -> A Z - Z D, for the
     # basis matrices X = E_ia and Z = E_ai, indexed (c, a, i, a', i')
     act = (np.einsum("ay,cji->caiyj", Ip, D_mats)
            - np.einsum("ij,cay->caiyj", Iq, A_mats)).reshape(n0, n, n)
-    C[o0:o1, :n, :n] = act
-    C[:n, o0:o1, :n] = -act.transpose(1, 0, 2)
+    _put_block(C, act, o0, 0, 0)
     act = (np.einsum("ij,cya->caiyj", Iq, A_mats)
            - np.einsum("ay,cij->caiyj", Ip, D_mats)).reshape(n0, n, n)
-    C[o0:o1, o1:, o1:] = act
-    C[o1:, o0:o1, o1:] = -act.transpose(1, 0, 2)
+    _put_block(C, act, o0, o1, o1)
 
-    # g_0 internal brackets, componentwise gl commutators.
+    # g_0 internal brackets, componentwise gl commutators, over pairs c1 < c2.
     AA = np.matmul(A_mats[:, None], A_mats[None, :])
     DD = np.matmul(D_mats[:, None], D_mats[None, :])
-    C[o0:o1, o0:o1, o0:o1] = coords(AA - AA.transpose(1, 0, 2, 3), DD - DD.transpose(1, 0, 2, 3))
-    C += 0.0  # turns the -0.0 entries the negations leave into +0.0
+    G = coords(AA - AA.transpose(1, 0, 2, 3), DD - DD.transpose(1, 0, 2, 3))
+    _put_block(C, G * np.triu(np.ones((n0, n0)), 1)[:, :, None], o0, o0, o0)
 
     return GradedLieAlgebra(
         kind="grassmannian",
         params={"p": p, "q": q},
         dims=(n, n0, n),
         labels=labels,
-        C=C,
+        C=_structure(N, C),
         pairing=np.eye(n),
         g0_blocks={"A": A_mats, "D": D_mats},
         normalizable=p + q >= 3,
@@ -462,7 +465,7 @@ def _build_projective(q: int) -> GradedLieAlgebra:
     labels += [f"h({i + 1},{j + 1})" for i in range(q) for j in range(q)]
     labels += [f"z{j + 1}" for j in range(q)]
 
-    C = np.zeros((N, N, N))
+    C: list = []
     o0, o1 = n, n + n0
     i, j = np.indices((q, q)).reshape(2, -1)  # h(i, j) sits at o0 + i*q + j
 
@@ -481,7 +484,7 @@ def _build_projective(q: int) -> GradedLieAlgebra:
         params={"q": q},
         dims=(n, n0, n),
         labels=labels,
-        C=C,
+        C=_structure(N, C),
         pairing=np.eye(n),
         g0_blocks={"F": _gl_basis(q)},
         normalizable=True,
@@ -514,7 +517,7 @@ def _build_pair(m: int, eps: int) -> GradedLieAlgebra:
     ps, pt = np.array(pairs, dtype=np.intp).T
     slot, sign = _pair_table(m, eps)
 
-    C = np.zeros((N, N, N))
+    C: list = []
     o0, o1 = n, n + n0
 
     # [z(s,t), x(k,l)] = -1/4 (eps d_sk h(t,l) + d_sl h(t,k) + d_tk h(s,l) + eps d_tl h(s,k))
@@ -543,7 +546,7 @@ def _build_pair(m: int, eps: int) -> GradedLieAlgebra:
         params={"m": m},
         dims=(n, n0, n),
         labels=labels,
-        C=C,
+        C=_structure(N, C),
         pairing=np.diag([1.0 if k == l else 0.5 for k, l in pairs]),
         g0_blocks={"A": _gl_basis(m)},
         normalizable=True,
@@ -554,19 +557,6 @@ def _build_pair(m: int, eps: int) -> GradedLieAlgebra:
 # ---------------------------------------------------------------------------
 # sparse matrices, and the structural diagnostics built on them
 # ---------------------------------------------------------------------------
-
-
-def _flat_nonzero(A: np.ndarray) -> np.ndarray:
-    """C-order flat indices of the nonzero entries of ``A``.
-
-    The same indices as ``np.flatnonzero(A)`` (-0.0 counts as zero, NaN
-    as nonzero), read CHUNK_ENTRIES entries at a time so that no mask of
-    the whole array is ever held.
-    """
-    flat = np.ravel(A)
-    parts = [np.flatnonzero(flat[s : s + CHUNK_ENTRIES] != 0.0) + s
-             for s in range(0, flat.size, CHUNK_ENTRIES)]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
 
 def rank_cutoff(smax: float) -> float:
@@ -597,7 +587,7 @@ class Triplets:
 
     @classmethod
     def from_dense(cls, A: np.ndarray) -> Triplets:
-        rows, cols = np.divmod(_flat_nonzero(A), A.shape[1])
+        rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
         return cls(rows, cols, A[rows, cols], A.shape)
 
     @classmethod
@@ -792,17 +782,17 @@ def _ad_rank(alg: GradedLieAlgebra) -> int:
 
 def grading_residual(alg: GradedLieAlgebra) -> float:
     """Max |C| entry violating the grading (target grade != sum of grades)."""
-    i, j, k = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
+    (i, j), k = np.divmod(alg.C.rows, alg.n_total), alg.C.cols
     grade = np.repeat([-1, 0, 1], alg.dims)
     bad = grade[i] + grade[j] != grade[k]
-    return float(np.abs(alg.C[i[bad], j[bad], k[bad]]).max(initial=0.0))
+    return float(np.abs(alg.C.vals[bad]).max(initial=0.0))
 
 
 def jacobi_residual(alg: GradedLieAlgebra) -> float:
     """Max |[[x,y],z] + [[y,z],x] + [[z,x],y]| over all basis triples.
 
     T[i, j, k, l] = sum_m C[i, j, m] C[m, k, l] is the triplet product of C
-    read as an (N^2, N) matrix and C read as an (N, N^2) one.  The Jacobi sum is
+    as stored, an (N^2, N) matrix, and C read as an (N, N^2) one.  The Jacobi sum is
     T[i, j, k, l] + T[j, k, i, l] + T[k, i, j, l], so an entry of T at
     (a, b, c, l) counts at (a, b, c, l), (c, a, b, l) and (b, c, a, l).  No
     grading is presumed.  The entries are dyadic rationals and every
@@ -810,8 +800,8 @@ def jacobi_residual(alg: GradedLieAlgebra) -> float:
     of summation.
     """
     N = alg.n_total
-    inner, outer = alg.C.reshape(N * N, N), alg.C.reshape(N, N * N)
-    T = Triplets.from_dense(inner) @ Triplets.from_dense(outer)
+    i, j = np.divmod(alg.C.rows, N)
+    T = alg.C @ Triplets(i, j * N + alg.C.cols, alg.C.vals, (N, N * N))
     (a, b), (c, l) = np.divmod(T.rows, N), np.divmod(T.cols, N)
     J = Triplets.summed(np.concatenate([a * N + b, c * N + a, b * N + c]),
                         np.concatenate([c * N + l, b * N + l, a * N + l]),
@@ -823,8 +813,8 @@ def center_dim(alg: GradedLieAlgebra) -> int:
     """Dimension of the center of the reductive part g_0."""
     n0 = alg.dims[1]
     sl0 = alg.grade_slice(0)
-    center_map = Triplets.from_dense(alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0))
-    return n0 - Blocks.split(center_map).rank()
+    i, j, k, v = alg.nonzeros(sl0, sl0, sl0)
+    return n0 - Blocks.split(Triplets(i, j * n0 + k, v, (n0, n0 * n0))).rank()
 
 
 def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
@@ -935,8 +925,9 @@ def cross_check_matrix_rep(alg: GradedLieAlgebra) -> dict:
     batches of at most CHUNK_ENTRIES matrix entries, in the order i, then
     j.  A pair where exactly one side vanishes counts its other side as
     discrepancy.  The sector's scalar is read from its first pair where
-    neither vanishes, at the largest |table| entry.  All entries are
-    dyadic, so every product is exact.
+    neither vanishes, at the largest |table| entry.  A batch's table is
+    the product of its pairs' rows of C, taken from the triplets, with the
+    realization.  All entries are dyadic, so every product and sum is exact.
 
     Returns:
         dict with ``sector_scalars`` (one float per sector with nonzero
@@ -945,6 +936,7 @@ def cross_check_matrix_rep(alg: GradedLieAlgebra) -> dict:
     rep = matrix_representation(alg)
     N, s = alg.n_total, rep.shape[1]
     step = max(1, CHUNK_ENTRIES // (s * s))
+    start = np.searchsorted(alg.C.rows, np.arange(N * N + 1))  # row r of C is start[r]:start[r + 1]
     refs: dict[str, tuple[float, float]] = {}  # sector -> (matrix, table) reference entries
     worst = 0.0
     for gx in (-1, 0, 1):
@@ -957,7 +949,11 @@ def cross_check_matrix_rep(alg: GradedLieAlgebra) -> dict:
             key = f"({gx},{gy})"
             for c in range(0, I.size, step):
                 i, j = I[c : c + step] + sx.start, J[c : c + step] + sy.start
-                table = alg.C[i, j] @ rep.reshape(N, s * s)
+                r = i * N + j
+                count = start[r + 1] - start[r]
+                e = np.repeat(start[r] - np.cumsum(count) + count, count) + np.arange(count.sum())
+                table = Triplets(np.repeat(np.arange(i.size), count), alg.C.cols[e], alg.C.vals[e],
+                                 (i.size, N)) @ rep.reshape(N, s * s)
                 mat = (rep[i] @ rep[j] - rep[j] @ rep[i]).reshape(-1, s * s)
                 tmax, mmax = np.abs(table).max(1), np.abs(mat).max(1)
                 lone = (tmax == 0.0) != (mmax == 0.0)
@@ -985,10 +981,10 @@ def serialize(alg: GradedLieAlgebra) -> dict:
     Structure constants are emitted as (i, j, k, value) quadruples for the
     nonzero entries with i < j; the i > j half follows by antisymmetry.
     """
-    i, j, k = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
+    (i, j), k = np.divmod(alg.C.rows, alg.n_total), alg.C.cols
     keep = i < j
-    i, j, k = i[keep], j[keep], k[keep]
-    triples = [list(t) for t in zip(i.tolist(), j.tolist(), k.tolist(), alg.C[i, j, k].tolist())]
+    triples = [list(t) for t in zip(i[keep].tolist(), j[keep].tolist(), k[keep].tolist(),
+                                    alg.C.vals[keep].tolist())]
     return {
         "kind": alg.kind,
         "params": dict(alg.params),

@@ -83,15 +83,15 @@ class FrameChange:
 
 
 def automorphism_residual(alg: GradedLieAlgebra, fc: FrameChange) -> float:
-    """Max violation of Ad(b0)[x, y] = [Ad(b0) x, Ad(b0) y] over the algebra."""
-    N = alg.n_total
-    B = np.zeros((N, N))
-    for grade, mat in ((-1, fc.ad_m1), (0, fc.ad_0), (1, fc.ad_p1)):
-        s = alg.grade_slice(grade)
-        B[s, s] = mat
-    lhs = np.einsum("ui,vj,uvw->ijw", B, B, alg.C, optimize=True)
-    rhs = np.einsum("ijk,wk->ijw", alg.C, B, optimize=True)
-    return float(np.abs(lhs - rhs).max())
+    """Max violation of Ad(b0)[x, y] = [Ad(b0) x, Ad(b0) y] over the algebra,
+    block by block: (B_x^T (x) B_y^T) C_xy = C_xy B_{x+y}^T on C_xy = alg.block(x, y)."""
+    B = {-1: fc.ad_m1, 0: fc.ad_0, 1: fc.ad_p1}
+    res = []
+    for gx, gy in [(x, y) for x in B for y in B if abs(x + y) <= 1]:
+        C = alg.block(gx, gy)
+        lhs = np.tensordot(B[gx], np.tensordot(B[gy], C, (0, 1)), (0, 1))
+        res.append(np.abs(lhs - C @ B[gx + gy].T).max())
+    return float(np.max(res))
 
 
 def group_action_one_cochain(
@@ -157,8 +157,8 @@ def model_second_torsion(
     (n + n0, n + n0, n + n0) coefficient array.
     """
     n, n0, _ = alg.dims
-    N2 = n + n0
-    full = -alg.C[:N2, :N2, :N2].copy()
+    low = slice(0, n + n0)
+    full = -alg.dense(low, low, low)
     if torsion is not None:
         _check_two(alg, torsion, -1, "torsion")
         full[:n, :n, :n] += torsion.data
@@ -194,7 +194,8 @@ def second_torsion_reduction(alg: GradedLieAlgebra, full: np.ndarray) -> tuple[T
     full = np.asarray(full, dtype=float)
     if full.shape != (N2, N2, N2):
         raise ValueError(f"second-level torsion must have shape {(N2, N2, N2)}")
-    forced = -alg.C[:N2, :N2, :N2]
+    low = slice(0, N2)
+    forced = -alg.dense(low, low, low)
     diff = full - forced
     # Only pairs with at least one g_0 argument are constrained.
     defect = max(

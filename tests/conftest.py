@@ -1,10 +1,12 @@
 """Shared test helpers: a cached algebra factory, the parameter grid, a
-recorder of trace-map builds, broken copies of an algebra, an explicit
-basis of the harmonic two-cochains, and earlier library code kept as
-references: the block split with its numbering tables, the Hodge split
-of a two-cochain, the column-by-column trace-map assembly, the
-projection onto the raw curvature symmetry classes and the Ricci
-contraction of a raw curvature tensor."""
+recorder of trace-map builds, the structure tensor as a dense array and
+copies of an algebra with a dense one put in, broken copies of an
+algebra, an explicit basis of the harmonic two-cochains, and earlier
+library code kept as references: the bracket on the dense tensor, the
+block split with its numbering tables, the Hodge split of a two-cochain,
+the column-by-column trace-map assembly, the projection onto the raw
+curvature symmetry classes and the Ricci contraction of a raw curvature
+tensor."""
 
 from __future__ import annotations
 
@@ -86,9 +88,9 @@ def algebra(kind: str, **params):
 
 @pytest.fixture
 def trace_map_builds(monkeypatch):
-    """Empty the recipe cache and the cached algebras, so that every algebra
-    built after this starts with no parts, then list the algebra of every
-    ``normalization.trace_map_matrix`` call."""
+    """Empty the shared algebras of ``build_algebra`` and the cached ones
+    here, so that every algebra built after this starts with no parts, then
+    list the algebra of every ``normalization.trace_map_matrix`` call."""
     builds = []
     real = normalization.trace_map_matrix
 
@@ -97,20 +99,43 @@ def trace_map_builds(monkeypatch):
         return real(alg)
 
     monkeypatch.setattr(normalization, "trace_map_matrix", counting)
-    graded_algebra._RECIPES.clear()
+    graded_algebra._shared.cache_clear()
     _cached.cache_clear()
     return builds
+
+
+def ref_dense_C(alg) -> np.ndarray:
+    """The structure tensor as a new dense (N, N, N) array, C[i, j, k] the
+    value of the triplet at row i * N + j and column k."""
+    N = alg.n_total
+    C = np.zeros((N, N, N))
+    i, j = np.divmod(alg.C.rows, N)
+    C[i, j, alg.C.cols] = alg.C.vals
+    return C
+
+
+def with_dense_C(alg, C: np.ndarray):
+    """A copy of ``alg`` whose structure constants are the nonzeros of the
+    dense (N, N, N) array ``C``."""
+    N = alg.n_total
+    return dataclasses.replace(alg, C=Triplets.from_dense(np.reshape(C, (N * N, N))))
+
+
+def ref_bracket(alg, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y] of two coordinate vectors, summed over the dense tensor."""
+    return np.einsum("i,j,ijk->k", x, y, ref_dense_C(alg))
 
 
 def z_flips(alg):
     """Copies of the algebra with one [z, x] bracket (z in g_1, x in g_{-1})
     sign-flipped, one per nonzero structure constant of that block."""
     sz, sx = alg.grade_slice(1), alg.grade_slice(-1)
-    for z, x, k in np.argwhere(alg.C[sz, sx] != 0.0):
-        C = alg.C.copy()
+    dense = ref_dense_C(alg)
+    for z, x, k in np.argwhere(dense[sz, sx] != 0.0):
+        C = dense.copy()
         C[z + sz.start, x, k] *= -1.0
         C[x, z + sz.start, k] *= -1.0
-        yield dataclasses.replace(alg, C=C)
+        yield with_dense_C(alg, C)
 
 
 def ref_alternating_injection(n: int, nv: int) -> np.ndarray:

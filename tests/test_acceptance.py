@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from conftest import GRID, SMALL, algebra
+from conftest import GRID, SMALL, algebra, ref_dense_C
 
 from ahsnormal.cli import main as cli_main
 from ahsnormal.graded_algebra import (
@@ -54,7 +54,7 @@ def announce(num: int, name: str, detail: str) -> None:
 
 def coeffs(alg, a: str, b: str) -> dict[str, float]:
     i, j = alg.labels.index(a), alg.labels.index(b)
-    return {alg.labels[k]: float(c) for k, c in enumerate(alg.C[i, j]) if c != 0.0}
+    return {alg.labels[k]: float(c) for k, c in enumerate(ref_dense_C(alg)[i, j]) if c != 0.0}
 
 
 def constant_curvature(n: int) -> np.ndarray:

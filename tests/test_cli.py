@@ -614,7 +614,16 @@ def test_debug_mutate_verifies_a_copy_with_parts_of_its_own(tmp_path, monkeypatc
     (mutated,) = seen
     intact = graded_algebra.build_algebra("lagrangian", m=3)
     assert mutated.parts is not intact.parts
-    assert np.count_nonzero(mutated.C != intact.C) == 2
+    # the same nonzeros, two of them negated: the first, C[i, j, k], and C[j, i, k]
+    N = intact.n_total
+    assert mutated.C.shape == intact.C.shape
+    assert mutated.C.rows.tobytes() == intact.C.rows.tobytes()
+    assert mutated.C.cols.tobytes() == intact.C.cols.tobytes()
+    (changed,) = np.nonzero(mutated.C.vals != intact.C.vals)
+    assert changed.size == 2 and changed[0] == 0
+    np.testing.assert_array_equal(mutated.C.vals[changed], -intact.C.vals[changed])
+    (i, j), (i2, j2) = divmod(int(intact.C.rows[0]), N), divmod(int(intact.C.rows[changed[1]]), N)
+    assert (i2, j2, intact.C.cols[changed[1]]) == (j, i, intact.C.cols[0])
 
 
 def test_verify_jacobi_is_exact_whatever_the_tolerance(tmp_path):
@@ -724,7 +733,7 @@ def test_verify_runs_without_loading_scipy():
 def test_every_package_callable_cli_binds_is_a_traced_span(monkeypatch):
     """The benchmark's tracer wraps each package callable that cli binds by
     name and refuses a span outside its LAYERS, so cli reaches private
-    helpers (``_is_int``, ``_flat_nonzero``) through the module object."""
+    helpers (``_is_int``) and classes (``Triplets``) through the module object."""
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     if not (bench / "tracing.py").is_file():
         pytest.skip("perfbench/tracing.py is not in this checkout")

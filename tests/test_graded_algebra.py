@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import GRID, SMALL, algebra, grid_id
+from conftest import GRID, SMALL, algebra, grid_id, ref_bracket, ref_dense_C, with_dense_C
 
 from ahsnormal import (
     KINDS,
@@ -29,7 +29,7 @@ from ahsnormal.normalization import uniqueness_certificate
 def coeffs(alg, a: str, b: str) -> dict[str, float]:
     """Bracket [a, b] of two basis elements as a {label: coefficient} dict."""
     i, j = alg.labels.index(a), alg.labels.index(b)
-    return {alg.labels[k]: float(c) for k, c in enumerate(alg.C[i, j]) if c != 0.0}
+    return {alg.labels[k]: float(c) for k, c in enumerate(ref_dense_C(alg)[i, j]) if c != 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,10 @@ def test_bracket_table_grassmannian_diagonal_action():
         v[L.index(label)] = 1.0
         return v
 
-    h = alg.bracket_full(basis("x^1_1"), basis("z^1_1"))
-    act = alg.bracket_full(h, basis("x^1_2"))
+    h = ref_bracket(alg, basis("x^1_1"), basis("z^1_1"))
+    act = ref_bracket(alg, h, basis("x^1_2"))
     np.testing.assert_array_equal(act, basis("x^1_2"))
-    act = alg.bracket_full(h, basis("x^2_2"))
+    act = ref_bracket(alg, h, basis("x^2_2"))
     np.testing.assert_array_equal(act, np.zeros(alg.n_total))
 
 
@@ -153,7 +153,8 @@ def test_structure_ranks_match_dense_svd(kind, params):
     alg = algebra(kind, **params)
     n, n0, n1 = alg.dims
     sl0 = alg.grade_slice(0)
-    assert center_dim(alg) == n0 - ref_dense_rank(alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0).T)
+    C00 = ref_dense_C(alg)[sl0, sl0, sl0]
+    assert center_dim(alg) == n0 - ref_dense_rank(C00.reshape(n0, n0 * n0).T)
     ranks = faithfulness_ranks(alg)
     assert ranks["g0_on_gm1"] == (ref_dense_rank(alg.block(0, -1).reshape(n0, n * n).T), n0)
     assert ranks["g1_to_hom"] == (ref_dense_rank(alg.block(1, -1).reshape(n1, n * n0).T), n1)
@@ -162,18 +163,18 @@ def test_structure_ranks_match_dense_svd(kind, params):
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_grading_residual_is_a_planted_entry(kind, params):
     alg = algebra(kind, **params)
-    C = alg.C.copy()
+    C = ref_dense_C(alg)
     C[0, 0, alg.dims[0]] = -0.375  # [g_{-1}, g_{-1}] lands in g_0, not in grade -2
-    assert grading_residual(dataclasses.replace(alg, C=C)) == 0.375
+    assert grading_residual(with_dense_C(alg, C)) == 0.375
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_faithfulness_counts_a_g0_element_acting_as_zero(kind, params):
     alg = algebra(kind, **params)
     n, n0, _ = alg.dims
-    C = alg.C.copy()
+    C = ref_dense_C(alg)
     C[n, :n, :n] = C[:n, n, :n] = 0.0
-    assert faithfulness_ranks(dataclasses.replace(alg, C=C))["g0_on_gm1"] == (n0 - 1, n0)
+    assert faithfulness_ranks(with_dense_C(alg, C))["g0_on_gm1"] == (n0 - 1, n0)
 
 
 def test_sparse_products_refuse_mismatched_inner_dimensions():
@@ -189,10 +190,19 @@ def test_sparse_products_refuse_mismatched_inner_dimensions():
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_structure_tensor_bytes(kind, params):
-    # with the fingerprints of the i < j nonzeros this pins C byte for byte
-    C = algebra(kind, **params).C
+    # with the fingerprints of the i < j nonzeros this pins C byte for byte;
+    # no stored zero of either sign: test_structure_constants_are_sorted_nonzero_triplets
+    C = ref_dense_C(algebra(kind, **params))
     np.testing.assert_array_equal(C, -C.transpose(1, 0, 2))
-    assert not np.signbit(C[C == 0.0]).any()
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_structure_constants_are_sorted_nonzero_triplets(kind, params):
+    alg = algebra(kind, **params)
+    N = alg.n_total
+    assert alg.C.shape == (N * N, N)
+    assert (np.diff(alg.C.rows * N + alg.C.cols) > 0).all()
+    assert (alg.C.vals != 0.0).all()  # -0.0 == 0.0, so neither zero is kept
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
@@ -241,8 +251,9 @@ def test_total_dims_match_simple_algebra():
 def test_abelian_extremes():
     for kind, params in SMALL:
         alg = algebra(kind, **params)
-        assert np.abs(alg.C[alg.grade_slice(-1), alg.grade_slice(-1)]).max() == 0.0
-        assert np.abs(alg.C[alg.grade_slice(1), alg.grade_slice(1)]).max() == 0.0
+        C = ref_dense_C(alg)
+        assert np.abs(C[alg.grade_slice(-1), alg.grade_slice(-1)]).max() == 0.0
+        assert np.abs(C[alg.grade_slice(1), alg.grade_slice(1)]).max() == 0.0
 
 
 def test_flags():
@@ -297,14 +308,14 @@ def test_serialize_round_trip(kind, params):
     assert doc["kind"] == kind
     assert doc["params"] == params
     assert doc["dims"] == list(alg.dims)
-    assert doc["labels"] == alg.labels
+    assert doc["labels"] == list(alg.labels)
     N = alg.n_total
     C = np.zeros((N, N, N))
     for i, j, k, v in doc["structure_constants"]:
         assert i < j
         C[i, j, k] = v
         C[j, i, k] = -v
-    np.testing.assert_array_equal(C, alg.C)
+    np.testing.assert_array_equal(C, ref_dense_C(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +375,7 @@ def test_dimension_budget_counts_dim_g(monkeypatch, kind, params):
 
 
 # ---------------------------------------------------------------------------
-# build_algebra replays each point from a per-process sparse recipe
+# build_algebra shares one read-only algebra per point
 # ---------------------------------------------------------------------------
 
 REPLAY_POINTS = GRID + [("lagrangian", {"m": 8}), ("spinorial", {"m": 8})]
@@ -373,7 +384,7 @@ BUILDERS = ("_build_conformal", "_build_grassmannian", "_build_projective", "_bu
 
 
 def fresh_build(kind: str, params: dict):
-    """The kind's private builder run directly, past the recipe cache."""
+    """The kind's private builder run directly, past the shared algebras."""
     if kind in ("lagrangian", "spinorial"):
         return graded_algebra._build_pair(params["m"], 1 if kind == "lagrangian" else -1)
     return getattr(graded_algebra, f"_build_{kind}")(*(params[k] for k in ("p", "q", "m") if k in params))
@@ -381,8 +392,11 @@ def fresh_build(kind: str, params: dict):
 
 def assert_same_algebra(a, b):
     """Bit-equal arrays and equal small fields, in separate memory."""
-    assert a is not b and not np.shares_memory(a.C, b.C)
-    for x, y in ((a.C, b.C), (a.pairing, b.pairing)):
+    assert a is not b and not np.shares_memory(a.C.vals, b.C.vals)
+    assert a.C.shape == b.C.shape
+    for x, y in ((a.C.rows, b.C.rows), (a.C.cols, b.C.cols), (a.C.vals, b.C.vals),
+                 (a.pairing, b.pairing)):
+        assert x.dtype == y.dtype
         np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
     assert a.g0_blocks.keys() == b.g0_blocks.keys()
     for name in a.g0_blocks:
@@ -394,9 +408,9 @@ def assert_same_algebra(a, b):
 
 
 @pytest.fixture
-def recipes(monkeypatch):
-    """An empty recipe cache, and a count of private builder runs per point."""
-    monkeypatch.setattr(graded_algebra, "_RECIPES", {})
+def builds(monkeypatch):
+    """No shared algebras, and a count of private builder runs per point."""
+    graded_algebra._shared.cache_clear()
     runs: dict[tuple, int] = {}
     for name in BUILDERS:
         real = getattr(graded_algebra, name)
@@ -405,60 +419,65 @@ def recipes(monkeypatch):
             runs[(_name, *args)] = runs.get((_name, *args), 0) + 1
             return _real(*args)
 
-        counting.__name__ = name
         monkeypatch.setattr(graded_algebra, name, counting)
-    return runs
+    yield runs
+    graded_algebra._shared.cache_clear()  # its keys hold the counting builders
 
 
 @pytest.mark.parametrize("kind,params", REPLAY_POINTS, ids=grid_id)
-def test_replayed_algebra_equals_a_fresh_build(recipes, kind, params):
+def test_replayed_algebra_equals_a_fresh_build(builds, kind, params):
     first = build_algebra(kind, **params)
-    second = build_algebra(kind, **params)
-    assert list(recipes.values()) == [1]
-    assert_same_algebra(first, second)
-    assert_same_algebra(second, fresh_build(kind, params))
+    assert build_algebra(kind, **params) is first
+    assert list(builds.values()) == [1]
+    assert_same_algebra(first, fresh_build(kind, params))
 
 
 def assert_read_only(alg) -> None:
-    """Writing into any array of ``alg`` raises, and so does rebinding a field."""
-    for array in (alg.C, alg.pairing, *alg.g0_blocks.values()):
+    """Writing into any array, mapping or label of ``alg`` raises, and so
+    does rebinding a field."""
+    for array in (alg.C.rows, alg.C.cols, alg.C.vals, alg.pairing, *alg.g0_blocks.values()):
         with pytest.raises(ValueError, match="read-only"):
-            array[(0,) * array.ndim] += 1.0
+            array[(0,) * array.ndim] += 1
+    assert isinstance(alg.labels, tuple)
+    for mapping in (alg.params, alg.g0_blocks):
+        with pytest.raises(TypeError):
+            mapping["m"] = 9
     with pytest.raises(dataclasses.FrozenInstanceError):
-        alg.C = alg.C.copy()
+        alg.C = alg.C.T
 
 
 @pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
-def test_replayed_algebras_are_independent_copies(recipes, kind, params):
+def test_replayed_algebras_are_independent_copies(builds, kind, params):
+    # the one shared object cannot be written, so no caller sees another's edit
     clean = fresh_build(kind, params)
-    built = build_algebra(kind, **params)  # the builder's own result
-    replayed = build_algebra(kind, **params)
-    for alg in (built, replayed):
-        assert_read_only(alg)
-        alg.labels[0] = "mutated"  # the small fields are private copies
-        alg.params["extra"] = 1
-    assert_same_algebra(build_algebra(kind, **params), clean)
+    alg = build_algebra(kind, **params)
+    assert_read_only(alg)
+    with pytest.raises(TypeError):
+        alg.labels[0] = "mutated"
+    assert build_algebra(kind, **params) is alg
+    assert_same_algebra(alg, clean)
 
 
 @pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
-def test_replays_of_a_point_share_its_parts(recipes, kind, params):
+def test_replays_of_a_point_share_its_parts(builds, kind, params):
     first = build_algebra(kind, **params)
     faithfulness_ranks(first)
     second = build_algebra(kind, **params)
-    assert second is not first and second.parts is first.parts
+    assert second is first
     assert {"ad", "ad_rank"} <= second.parts.keys()
 
 
-def test_a_replaced_copy_starts_with_no_parts(recipes):
+def test_a_replaced_copy_starts_with_no_parts(builds):
     alg = build_algebra("lagrangian", m=3)
     faithfulness_ranks(alg)
-    for copy in (dataclasses.replace(alg), dataclasses.replace(alg, C=alg.C.copy())):
+    for copy in (dataclasses.replace(alg), with_dense_C(alg, ref_dense_C(alg))):
         assert copy.parts == {} and copy.parts is not alg.parts
         assert_read_only(copy)
+        assert copy.params == alg.params and copy.labels == alg.labels
     assert {"ad", "ad_rank"} <= alg.parts.keys()
 
 
-def test_one_build_per_point_over_normalize_rounds(recipes, tmp_path):
+def test_one_build_per_point_over_normalize_rounds(builds, tmp_path):
     from ahsnormal import cli
 
     points = [("conformal", {"m": 6}), ("grassmannian", {"p": 4, "q": 4}),
@@ -471,43 +490,44 @@ def test_one_build_per_point_over_normalize_rounds(recipes, tmp_path):
         flags = [f"--{k}={v}" for k, v in params.items()]
         argvs.append(["normalize", "--kind", kind, *flags, "--input", str(src),
                       "--output", str(tmp_path / "out.json")])
-    graded_algebra._RECIPES.clear()
-    recipes.clear()
+    graded_algebra._shared.cache_clear()
+    builds.clear()
     for _ in range(2):
         for argv in argvs:
             assert cli.main(argv) == cli.EXIT_OK
-    assert recipes == {("_build_conformal", 6): 1, ("_build_grassmannian", 4, 4): 1,
+    assert builds == {("_build_conformal", 6): 1, ("_build_grassmannian", 4, 4): 1,
                        ("_build_projective", 4): 1, ("_build_pair", 6, 1): 1,
                        ("_build_pair", 6, -1): 1}
 
 
-def test_ninth_point_evicts_the_oldest_recipe(recipes):
+def test_ninth_point_evicts_the_oldest_recipe(builds):
+    # the least recently used algebra goes first
     points = [("conformal", {"m": m}) for m in (3, 4, 5)] + [("projective", {"q": q}) for q in (2, 3)]
     points += [("lagrangian", {"m": 3}), ("spinorial", {"m": 3}), ("grassmannian", {"p": 1, "q": 2})]
-    assert len(points) == graded_algebra._RECIPE_CACHE_SIZE >= 5
+    assert len(points) == graded_algebra._shared.cache_parameters()["maxsize"] >= 5
     for kind, params in points:
         build_algebra(kind, **params)
-    oldest = next(iter(graded_algebra._RECIPES))
-    assert oldest == ("_build_conformal", 3)
-    build_algebra("grassmannian", p=2, q=2)
-    assert len(graded_algebra._RECIPES) == graded_algebra._RECIPE_CACHE_SIZE
-    assert oldest not in graded_algebra._RECIPES
+    build_algebra("conformal", m=3)  # now the most recently used
+    build_algebra("grassmannian", p=2, q=2)  # drops conformal m = 4
+    assert graded_algebra._shared.cache_info().currsize == len(points)
     build_algebra("conformal", m=3)
-    assert recipes[("_build_conformal", 3)] == 2
-    assert recipes[("_build_projective", 2)] == 1
+    build_algebra("projective", q=2)
+    assert builds[("_build_conformal", 3)] == builds[("_build_projective", 2)] == 1
+    build_algebra("conformal", m=4)
+    assert builds[("_build_conformal", 4)] == 2
 
 
-def test_evicting_a_recipe_drops_its_parts(recipes, trace_map_builds):
+def test_evicting_a_recipe_drops_its_parts(builds, trace_map_builds):
     others = [("conformal", {"m": m}) for m in (4, 5)] + [("projective", {"q": q}) for q in (2, 3)]
     others += [("lagrangian", {"m": 3}), ("spinorial", {"m": 3}), ("grassmannian", {"p": 1, "q": 2}),
                ("grassmannian", {"p": 2, "q": 2})]
-    assert len(others) == graded_algebra._RECIPE_CACHE_SIZE
+    assert len(others) == graded_algebra._shared.cache_parameters()["maxsize"]
     first = build_algebra("conformal", m=3)
     uniqueness_certificate(first)
-    uniqueness_certificate(build_algebra("conformal", m=3))  # a replay: no new trace map
+    uniqueness_certificate(build_algebra("conformal", m=3))  # the same object: no new trace map
     for kind, params in others:
         build_algebra(kind, **params)
     again = build_algebra("conformal", m=3)
-    assert again.parts == {} and again.parts is not first.parts
+    assert again is not first and again.parts == {}
     uniqueness_certificate(again)
     assert trace_map_builds == [first, again]

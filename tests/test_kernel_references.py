@@ -23,11 +23,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id, ref_blocks_split, z_flips
+from conftest import (
+    GRID,
+    SMALL,
+    VERIFY_GRID,
+    algebra,
+    grid_id,
+    ref_blocks_split,
+    ref_dense_C,
+    with_dense_C,
+    z_flips,
+)
 
 from ahsnormal.graded_algebra import (
     CHUNK_ENTRIES,
-    _flat_nonzero,
     cross_check_matrix_rep,
     jacobi_residual,
     matrix_representation,
@@ -70,7 +79,7 @@ AUTOMORPHISM_BOUND = 1e-12
 
 
 def ref_jacobi(alg) -> float:
-    C = alg.C
+    C = ref_dense_C(alg)
     worst = 0.0
     for i in range(alg.n_total):
         t1 = np.einsum("jm,mkl->jkl", C[i], C)
@@ -83,6 +92,7 @@ def ref_jacobi(alg) -> float:
 def ref_jacobi_blocks(alg) -> float:
     grades = (-1, 0, 1)
     sl = {g: alg.grade_slice(g) for g in grades}
+    C = ref_dense_C(alg)
     worst = 0.0
     for a in grades:
         for b in grades:
@@ -96,8 +106,8 @@ def ref_jacobi_blocks(alg) -> float:
                                       (c, a, b, (1, 2, 0, 3))):
                     if abs(x + y) > 1:
                         continue
-                    inner = alg.C[sl[x], sl[y], sl[x + y]]
-                    outer = alg.C[sl[x + y], sl[w], sl[d]]
+                    inner = C[sl[x], sl[y], sl[x + y]]
+                    outer = C[sl[x + y], sl[w], sl[d]]
                     total = total + np.tensordot(inner, outer, axes=(2, 0)).transpose(perm)
                 worst = max(worst, float(np.abs(total).max()))
     return worst
@@ -109,8 +119,9 @@ def ref_automorphism(alg, fc) -> float:
     for grade, mat in ((-1, fc.ad_m1), (0, fc.ad_0), (1, fc.ad_p1)):
         s = alg.grade_slice(grade)
         B[s, s] = mat
-    lhs = np.einsum("ui,vj,uvw->ijw", B, B, alg.C)
-    rhs = np.einsum("ijk,wk->ijw", alg.C, B)
+    C = ref_dense_C(alg)
+    lhs = np.einsum("ui,vj,uvw->ijw", B, B, C)
+    rhs = np.einsum("ijk,wk->ijw", C, B)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -153,11 +164,11 @@ def ref_cohomology(alg, level, tol=1e-9) -> int:
 def sign_flipped(alg):
     """A copy with the first nonzero structure constant negated, as
     ``verify --debug-mutate`` does; antisymmetry and grading survive."""
-    C = alg.C.copy()
+    C = ref_dense_C(alg)
     i, j, k = (int(v) for v in np.argwhere(C != 0.0)[0])
     C[i, j, k] *= -1.0
     C[j, i, k] *= -1.0
-    return dataclasses.replace(alg, C=C)
+    return with_dense_C(alg, C)
 
 
 @pytest.mark.parametrize("kind,params", REF_GRID, ids=grid_id)
@@ -216,11 +227,11 @@ def ref_z_drop(alg) -> float:
 
 def nudged(alg):
     """A copy with the first nonzero structure constant off by 2^-40 of itself."""
-    C = alg.C.copy()
+    C = ref_dense_C(alg)
     i, j, k = np.argwhere(C != 0.0)[0]
     C[i, j, k] *= 1.0 + 2.0**-40
     C[j, i, k] *= 1.0 + 2.0**-40
-    return dataclasses.replace(alg, C=C)
+    return with_dense_C(alg, C)
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
@@ -538,7 +549,7 @@ def test_from_g0_exponential_matches_extended_taylor(kind, params):
 
 
 # ---------------------------------------------------------------------------
-# the chunked flat nonzero scan and the batched matrix cross-check
+# the flat nonzero scan of Triplets.from_dense and the batched matrix cross-check
 # ---------------------------------------------------------------------------
 
 # Points beyond GRID for the cross-check: the pair kinds at m = 7, 8 and
@@ -559,13 +570,14 @@ def ref_cross_check_matrix_rep(alg) -> dict:
     refs: dict[tuple[int, int], tuple[float, float]] = {}
     worst = 0.0
     idx = {g: range(alg.grade_slice(g).start, alg.grade_slice(g).stop) for g in (-1, 0, 1)}
+    C = ref_dense_C(alg)
     for gx in (-1, 0, 1):
         for gy in (-1, 0, 1):
             for i in idx[gx]:
                 for j in idx[gy]:
                     if j <= i:
                         continue
-                    table = np.einsum("k,kuv->uv", alg.C[i, j], rep)
+                    table = np.einsum("k,kuv->uv", C[i, j], rep)
                     mat = rep[i] @ rep[j] - rep[j] @ rep[i]
                     tmax, mmax = np.abs(table).max(), np.abs(mat).max()
                     if tmax == 0.0 and mmax == 0.0:
@@ -602,9 +614,9 @@ def test_flat_nonzero_scan_matches_nonzero_on_operators(kind, params):
         assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
     A = trace_map_matrix(alg).dense()
     assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
-    got = np.unravel_index(_flat_nonzero(alg.C), alg.C.shape)
-    for a, b in zip(got, np.nonzero(alg.C)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    # the structure constants are the C-order nonzeros of the dense tensor
+    N = alg.n_total
+    assert_same_triplets(alg.C, ref_from_dense(ref_dense_C(alg).reshape(N * N, N)))
 
 
 @pytest.mark.parametrize(
@@ -621,7 +633,6 @@ def test_flat_nonzero_scan_matches_nonzero_on_random_input(shape):
     A[special > 0.998] = np.nan
     for view in (A, A.T, np.asfortranarray(A), A[::-1, ::2]):
         assert_same_triplets(Triplets.from_dense(view), ref_from_dense(view))
-        assert _flat_nonzero(view).tobytes() == np.flatnonzero(view).tobytes()
 
 
 def mutated_per_sector(alg):
@@ -630,20 +641,21 @@ def mutated_per_sector(alg):
     that bracket [b_i, b_j] dropped, so the table side vanishes alone.
     Then one copy whose realization of the last g_0 basis element is zero,
     so the matrix side vanishes alone."""
+    dense = ref_dense_C(alg)
     for gx in (-1, 0, 1):
         for gy in range(gx, 2):
             sx, sy = alg.grade_slice(gx), alg.grade_slice(gy)
-            nz = np.argwhere(alg.C[sx, sy] != 0.0)
+            nz = np.argwhere(dense[sx, sy] != 0.0)
             if nz.size == 0:
                 continue
             i, j, k = nz[0] + (sx.start, sy.start, 0)
-            C = alg.C.copy()
+            C = dense.copy()
             C[i, j, k] *= -1.0
             C[j, i, k] *= -1.0
-            yield (gx, gy, "flip"), dataclasses.replace(alg, C=C)
-            C = alg.C.copy()
+            yield (gx, gy, "flip"), with_dense_C(alg, C)
+            C = dense.copy()
             C[i, j] = C[j, i] = 0.0
-            yield (gx, gy, "drop"), dataclasses.replace(alg, C=C)
+            yield (gx, gy, "drop"), with_dense_C(alg, C)
     blocks = {name: B.copy() for name, B in alg.g0_blocks.items()}
     for B in blocks.values():
         B[-1] = 0.0

@@ -13,8 +13,10 @@ from conftest import (
     algebra,
     grid_id,
     ref_brute_force_trace_map,
+    ref_dense_C,
     ref_ricci_from_riemann,
     ref_riemann_projection,
+    with_dense_C,
 )
 
 from ahsnormal import build_algebra, graded_algebra
@@ -463,11 +465,11 @@ def test_trace_map_cache_changes_no_answer(kind, params, trace_map_builds):
 
 def _bumped(alg, gx, gy):
     """A copy with the first nonzero of C[g_gx, g_gy] moved by 2^-40."""
-    C = alg.C.copy()
+    C = ref_dense_C(alg)
     sx, sy, sz = alg.grade_slice(gx), alg.grade_slice(gy), alg.grade_slice(gx + gy)
     x, y, z = np.argwhere(alg.block(gx, gy) != 0.0)[0]
     C[x + sx.start, y + sy.start, z + sz.start] += 2.0**-40
-    return dataclasses.replace(alg, C=C)
+    return with_dense_C(alg, C)
 
 
 def _spencer_answers(alg):
@@ -508,15 +510,15 @@ def test_a_changed_copy_never_reads_its_source_s_parts(trace_map_builds):
 
 
 def test_trace_map_cache_is_bounded(trace_map_builds):
-    # the parts live as long as their point's recipe; at least the five kinds
-    # of a normalize stream fit, so its builds do not depend on the order of
-    # its requests
-    bound = graded_algebra._RECIPE_CACHE_SIZE
+    # the parts live as long as their point's shared algebra; at least the
+    # five kinds of a normalize stream fit, so its builds do not depend on
+    # the order of its requests
+    bound = graded_algebra._shared.cache_parameters()["maxsize"]
     assert bound >= 5
     points = GRID[: bound + 2]
     for kind, params in points:
         uniqueness_certificate(build_algebra(kind, **params))
-    assert len(graded_algebra._RECIPES) == bound
+    assert graded_algebra._shared.cache_info().currsize == bound
     kind, params = points[-1]
     uniqueness_certificate(build_algebra(kind, **params))  # newest kept
     assert len(trace_map_builds) == bound + 2
@@ -524,7 +526,7 @@ def test_trace_map_cache_is_bounded(trace_map_builds):
     oldest = build_algebra(kind, **params)
     uniqueness_certificate(oldest)  # oldest evicted first
     assert trace_map_builds[-1] is oldest
-    assert len(graded_algebra._RECIPES) == bound
+    assert graded_algebra._shared.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------

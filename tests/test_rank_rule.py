@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import GRID, algebra, grid_id
+from conftest import GRID, algebra, grid_id, ref_dense_C
 
 from ahsnormal.normalization import trace_map_matrix
 from ahsnormal.spencer import (
@@ -47,7 +47,7 @@ def ranked_operators(alg) -> dict[str, np.ndarray]:
     sl0 = alg.grade_slice(0)
     ops["ad"] = alg.block(1, -1).reshape(n1, n * n0).T
     ops["trace_map"] = trace_map_matrix(alg).dense()
-    ops["g0_center_map"] = alg.C[sl0, sl0, sl0].reshape(n0, n0 * n0).T
+    ops["g0_center_map"] = ref_dense_C(alg)[sl0, sl0, sl0].reshape(n0, n0 * n0).T
     ops["g0_action"] = alg.block(0, -1).reshape(n0, n * n).T
     if alg.kind == "grassmannian" and alg.normalizable:
         ops["block_trace_correction"] = block_trace_correction(alg)

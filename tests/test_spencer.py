@@ -11,7 +11,15 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import GRID, SMALL, VERIFY_GRID, algebra, grid_id, ref_harmonic_decompose
+from conftest import (
+    GRID,
+    SMALL,
+    VERIFY_GRID,
+    algebra,
+    grid_id,
+    ref_bracket,
+    ref_harmonic_decompose,
+)
 from test_kernel_references import ref_d_matrix, ref_dstar_matrix
 
 from ahsnormal import build_algebra, cli, graded_algebra
@@ -72,7 +80,7 @@ def test_d_against_direct_brackets():
             gb[sl1] = gamma.data[b]
             xa = np.zeros(alg.n_total)
             xa[a] = 1.0
-            expected = alg.bracket_full(ga, xb) - alg.bracket_full(gb, xa)
+            expected = ref_bracket(alg, ga, xb) - ref_bracket(alg, gb, xa)
             np.testing.assert_allclose(out.data[a, b], expected[sl0], atol=1e-13)
 
 
@@ -317,7 +325,7 @@ def _split_calls(monkeypatch, argv) -> int:
         return split(cls, A)
 
     monkeypatch.setattr(Blocks, "split", classmethod(counting))
-    graded_algebra._RECIPES.clear()
+    graded_algebra._shared.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     return len(calls)
@@ -342,7 +350,7 @@ def _arrays(value):
 
 
 def test_complex_parts_are_read_only_and_sparse():
-    graded_algebra._RECIPES.clear()
+    graded_algebra._shared.cache_clear()
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["verify", "--kind", "lagrangian", "--m", "4", "--samples", "1"]) == 0
     arrays = list(_arrays(list(build_algebra("lagrangian", m=4).parts.values())))
@@ -362,9 +370,9 @@ def _report(argv) -> str:
 def test_debug_mutate_report_does_not_depend_on_the_cache():
     mutated = ["verify", "--kind", "lagrangian", "--m", "4", "--samples", "1", "--debug-mutate"]
     intact = mutated[:-1]
-    graded_algebra._RECIPES.clear()
+    graded_algebra._shared.cache_clear()
     cold = _report(mutated), _report(intact)
-    graded_algebra._RECIPES.clear()
+    graded_algebra._shared.cache_clear()
     intact_first = _report(intact)
     assert (_report(mutated), intact_first) == cold
     assert cold[0].endswith("exit 4") and cold[1].endswith("exit 0")
