@@ -36,9 +36,10 @@ KINDS = ("conformal", "grassmannian", "projective", "lagrangian", "spinorial")
 # max(1, smax) or above 0.10 * max(1, smax), so no rank depends on RANK_TOL.
 RANK_TOL = 1e-9
 
-# Largest dim g built.  C is sparse; the bound caps its dense blocks, each under (dim g)^3
-# float64 entries (1 GiB).  At the edge, projective q = 21, C[g_0, g_0, g_0] takes 686 MB and
-# the largest, C over g_{-1} + g_0 in verify's second-torsion check, 789 MB.
+# Largest dim g built.  C is sparse and no builder makes a dense block; the bound caps the
+# dense arrays of verify, each under (dim g)^3 float64 entries (1 GiB).  At the edge,
+# projective q = 21, the two largest are C[g_0, g_0, g_0], 686 MB, and the checked
+# second-torsion map over g_{-1} + g_0, 789 MB, which is not a copy of C.
 MAX_DIM = 512
 
 # Matrix entries per batch of cross_check_matrix_rep.
@@ -127,12 +128,18 @@ class GradedLieAlgebra:
         raise ValueError(f"grade must be -1, 0 or 1, got {grade}")
 
     def block(self, gx: int, gy: int) -> np.ndarray:
-        """Structure-tensor block C[g_x basis, g_y basis, g_{x+y} basis], a part."""
+        """Structure-tensor block C[g_x basis, g_y basis, g_{x+y} basis], a part:
+        the one place where C is made dense (:meth:`Triplets.dense`)."""
         gz = gx + gy
         if abs(gz) > 1:
             raise ValueError("bracket grade out of range")
-        s = self.grade_slice
-        return self.part(("C", gx, gy), lambda: self.dense(s(gx), s(gy), s(gz)))
+
+        def build() -> np.ndarray:
+            i, j, k, v = self.nonzeros(*map(self.grade_slice, (gx, gy, gz)))
+            ni, nj, nk = (self.dims[g + 1] for g in (gx, gy, gz))
+            return Triplets(i * nj + j, k, v, (ni * nj, nk)).dense().reshape(ni, nj, nk)
+
+        return self.part(("C", gx, gy), build)
 
     def nonzeros(self, si: slice, sj: slice, sk: slice) -> tuple[np.ndarray, ...]:
         """(i, j, k, value) of the nonzero entries of C[si, sj, sk] in C order,
@@ -141,12 +148,6 @@ class GradedLieAlgebra:
         keep = ((si.start <= i) & (i < si.stop) & (sj.start <= j) & (j < sj.stop)
                 & (sk.start <= k) & (k < sk.stop))
         return i[keep] - si.start, j[keep] - sj.start, k[keep] - sk.start, self.C.vals[keep]
-
-    def dense(self, si: slice, sj: slice, sk: slice) -> np.ndarray:
-        """The dense block C[si, sj, sk] (:meth:`Triplets.dense`)."""
-        i, j, k, v = self.nonzeros(si, sj, sk)
-        ni, nj, nk = si.stop - si.start, sj.stop - sj.start, sk.stop - sk.start
-        return Triplets(i * nj + j, k, v, (ni * nj, nk)).dense().reshape(ni, nj, nk)
 
     def dual_basis(self) -> np.ndarray:
         """Matrix M with row a = g_1 coordinates of the dual vector z^a.
@@ -263,13 +264,6 @@ def _put_brackets(ent: list, i, j, k, v) -> None:
     ent += [(i, j, k, v), (j, i, k, -v)]
 
 
-def _put_block(ent: list, D: np.ndarray, i0: int, j0: int, k0: int) -> None:
-    """:func:`_put_brackets` over the nonzero entries of the dense block ``D``
-    at C[i0:, j0:, k0:]."""
-    i, j, k = np.nonzero(D)
-    _put_brackets(ent, i0 + i, j0 + j, k0 + k, D[i, j, k])
-
-
 def _structure(N: int, ent: list) -> Triplets:
     """The structure constants of the entries ``ent`` as (N^2, N) triplets:
     repeats summed, zeros dropped, in C order."""
@@ -367,76 +361,47 @@ def _build_grassmannian(p: int, q: int) -> GradedLieAlgebra:
     n = p * q
     n0 = p * p + q * q - 1
     N = 2 * n + n0
+    s = p + q
+    o0, o1 = n, n + n0
 
-    # g_{-1} basis x^a_i <-> E_{ia} in Mat(q, p); flat index a*q + i.
-    # g_1  basis z^i_a <-> E_{ai} in Mat(p, q); same flat grid, so the
-    # trace-form pairing matrix is the identity.
+    # Every basis element is a matrix unit of sl(s) or an H_k.  g_{-1}:
+    # x^a_i = E_{p+i,a}; g_1: z^i_a = E_{a,p+i}, both at flat index a*q + i,
+    # so the trace-form pairing matrix is the identity.  g_0: a^u_v = E_vu,
+    # then d^u_v = E_{p+v,p+u}, u != v in both, then H_k = E_kk - E_{k+1,k+1}.
+    a, i = np.indices((p, q)).reshape(2, -1)
+    u, v = np.indices((p, p)).reshape(2, -1)[:, ~np.eye(p, dtype=bool).ravel()]
+    w, x = np.indices((q, q)).reshape(2, -1)[:, ~np.eye(q, dtype=bool).ravel()]
+    oh = o0 + u.size + w.size
+    unit = np.full((s, s), -1, dtype=np.intp)  # basis index of the off-diagonal E_rc
+    unit[p + i, a] = np.arange(n)
+    unit[v, u] = o0 + np.arange(u.size)
+    unit[p + x, p + w] = o0 + u.size + np.arange(w.size)
+    unit[a, p + i] = o1 + np.arange(n)
+    rep = np.zeros((N, s, s))
+    r, c = np.nonzero(unit >= 0)
+    rep[unit[r, c], r, c] = 1.0
+    k = np.arange(s - 1)
+    rep[oh + k, k, k] = 1.0
+    rep[oh + k, k + 1, k + 1] = -1.0
+
     labels = [f"x^{a + 1}_{i + 1}" for a in range(p) for i in range(q)]
-    g0_labels: list[str] = []
-    A_mats = []
-    D_mats = []
-    off_p = [(u, v) for u in range(p) for v in range(p) if u != v]
-    off_q = [(u, v) for u in range(q) for v in range(q) if u != v]
-    for name, off in (("a", off_p), ("d", off_q)):
-        for u, v in off:
-            A, D = np.zeros((p, p)), np.zeros((q, q))
-            (A if name == "a" else D)[v, u] = 1.0
-            A_mats.append(A)
-            D_mats.append(D)
-            g0_labels.append(f"{name}^{u + 1}_{v + 1}")
-    for k in range(p + q - 1):
-        A = np.zeros((p, p))
-        D = np.zeros((q, q))
-        if k < p:
-            A[k, k] = 1.0
-        else:
-            D[k - p, k - p] = 1.0
-        if k + 1 < p:
-            A[k + 1, k + 1] = -1.0
-        else:
-            D[k + 1 - p, k + 1 - p] = -1.0
-        A_mats.append(A)
-        D_mats.append(D)
-        g0_labels.append(f"H{k + 1}")
-    labels += g0_labels
+    labels += [f"a^{u + 1}_{v + 1}" for u, v in zip(u, v)]
+    labels += [f"d^{w + 1}_{x + 1}" for w, x in zip(w, x)]
+    labels += [f"H{k + 1}" for k in range(s - 1)]
     labels += [f"z^{i + 1}_{a + 1}" for a in range(p) for i in range(q)]
 
-    A_mats = np.array(A_mats)
-    D_mats = np.array(D_mats)
-    ou, ov = np.array(off_p, dtype=np.intp).reshape(-1, 2).T
-    du, dv = np.array(off_q, dtype=np.intp).reshape(-1, 2).T
-
-    def coords(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-        """Coordinates in s(gl(p)+gl(q)) of the pairs (A, D) on the last two
-        axes; requires tr A + tr D = 0."""
-        diag = np.concatenate([np.diagonal(A, axis1=-2, axis2=-1),
-                               np.diagonal(D, axis1=-2, axis2=-1)], axis=-1)
-        return np.concatenate([A[..., ov, ou], D[..., dv, du], np.cumsum(diag, axis=-1)[..., :-1]],
-                              axis=-1)
-
+    # [b_i, b_j] = T(i, j) - T(j, i) for the matrix product T(i, j) = b_i b_j, so
+    # [E_ab, E_cd] = d_bc E_ad - d_da E_cb; T is taken over all ordered pairs.
+    b, r, c = np.nonzero(rep)
+    T = (Triplets(b * s + r, c, rep[b, r, c], (N * s, s))
+         @ Triplets(r, b * s + c, rep[b, r, c], (s, N * s)))
+    (i, r), (j, c) = np.divmod(T.rows, s), np.divmod(T.cols, s)
     C: list = []
-    o0, o1 = n, n + n0
-    Ip, Iq = np.eye(p), np.eye(q)
-
-    # [x^a_i, z^j_b] = (A, D) = (-delta_ij E_ba, delta_ab E_ij), indexed (a, i, b, j)
-    xz = coords(-np.einsum("ij,rb,ca->aibjrc", Iq, Ip, Ip),
-                np.einsum("ab,ri,cj->aibjrc", Ip, Iq, Iq)).reshape(n, n, n0)
-    _put_block(C, xz, 0, o1, o0)
-
-    # g_0 acting on g_{-1}: X -> D X - X A ; on g_1: Z -> A Z - Z D, for the
-    # basis matrices X = E_ia and Z = E_ai, indexed (c, a, i, a', i')
-    act = (np.einsum("ay,cji->caiyj", Ip, D_mats)
-           - np.einsum("ij,cay->caiyj", Iq, A_mats)).reshape(n0, n, n)
-    _put_block(C, act, o0, 0, 0)
-    act = (np.einsum("ij,cya->caiyj", Iq, A_mats)
-           - np.einsum("ay,cij->caiyj", Ip, D_mats)).reshape(n0, n, n)
-    _put_block(C, act, o0, o1, o1)
-
-    # g_0 internal brackets, componentwise gl commutators, over pairs c1 < c2.
-    AA = np.matmul(A_mats[:, None], A_mats[None, :])
-    DD = np.matmul(D_mats[:, None], D_mats[None, :])
-    G = coords(AA - AA.transpose(1, 0, 2, 3), DD - DD.transpose(1, 0, 2, 3))
-    _put_block(C, G * np.triu(np.ones((n0, n0)), 1)[:, :, None], o0, o0, o0)
+    off = r != c
+    _put_brackets(C, i[off], j[off], unit[r, c][off], T.vals[off])
+    # E_rr has coordinate 1 on each H_k with k >= r; only traceless sums are brackets
+    e, k = np.nonzero(np.arange(s - 1) >= r[~off, None])
+    _put_brackets(C, i[~off][e], j[~off][e], oh + k, T.vals[~off][e])
 
     return GradedLieAlgebra(
         kind="grassmannian",
@@ -445,7 +410,7 @@ def _build_grassmannian(p: int, q: int) -> GradedLieAlgebra:
         labels=labels,
         C=_structure(N, C),
         pairing=np.eye(n),
-        g0_blocks={"A": A_mats, "D": D_mats},
+        g0_blocks={"A": rep[o0:o1, :p, :p].copy(), "D": rep[o0:o1, p:, p:].copy()},
         normalizable=p + q >= 3,
         projective_type=(p == 1 and q >= 2),
     )

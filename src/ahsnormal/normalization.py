@@ -80,12 +80,6 @@ def trace_kappa0_via_dstar(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndar
     return spencer_dstar(alg, kappa0).data @ alg.pairing
 
 
-def trace_g0(alg: GradedLieAlgebra, phi: TwoCochain) -> np.ndarray:
-    """g_0-trace data: (Tr_g0 phi)(X, Y) = tr(ad(phi(X, Y))|g_{-1})."""
-    _check_two(alg, phi, 0, "phi")
-    return _g0_trace(phi, alg.block(0, -1))
-
-
 def block_trace_g0(alg: GradedLieAlgebra, phi: TwoCochain, block: str = "D") -> np.ndarray:
     """Plain block trace of the g_0 values, for the kinds with block g_0.
 

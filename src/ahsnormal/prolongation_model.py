@@ -158,7 +158,9 @@ def model_second_torsion(
     """
     n, n0, _ = alg.dims
     low = slice(0, n + n0)
-    full = -alg.dense(low, low, low)
+    full = np.zeros((n + n0,) * 3)
+    i, j, k, v = alg.nonzeros(low, low, low)
+    full[i, j, k] = -v
     if torsion is not None:
         _check_two(alg, torsion, -1, "torsion")
         full[:n, :n, :n] += torsion.data
@@ -186,17 +188,21 @@ def second_torsion_reduction(alg: GradedLieAlgebra, full: np.ndarray) -> tuple[T
     the projected bracket itself and is reported without raising.
 
     Raises:
-        ValueError: a nonzero input violates the identity beyond
-            ``SECOND_TORSION_TOL``.
+        ValueError: the input has a non-finite entry, or a nonzero input
+            violates the identity beyond ``SECOND_TORSION_TOL``.
     """
     n, n0, _ = alg.dims
     N2 = n + n0
     full = np.asarray(full, dtype=float)
     if full.shape != (N2, N2, N2):
         raise ValueError(f"second-level torsion must have shape {(N2, N2, N2)}")
+    if not np.isfinite(full).all():
+        raise ValueError("second-level torsion must be finite")
+    # full minus the forced values -C, which are C's nonzeros negated
     low = slice(0, N2)
-    forced = -alg.dense(low, low, low)
-    diff = full - forced
+    diff = full.copy()
+    i, j, k, v = alg.nonzeros(low, low, low)
+    diff[i, j, k] += v
     # Only pairs with at least one g_0 argument are constrained.
     defect = max(
         float(np.abs(diff[n:, :, :]).max()),

@@ -4,9 +4,9 @@ copies of an algebra with a dense one put in, broken copies of an
 algebra, an explicit basis of the harmonic two-cochains, and earlier
 library code kept as references: the bracket on the dense tensor, the
 block split with its numbering tables, the Hodge split of a two-cochain,
-the column-by-column trace-map assembly, the projection onto the raw
-curvature symmetry classes and the Ricci contraction of a raw curvature
-tensor."""
+the column-by-column trace-map assembly, the g_0-trace of a grade-0
+two-cochain, the projection onto the raw curvature symmetry classes and
+the Ricci contraction of a raw curvature tensor."""
 
 from __future__ import annotations
 
@@ -271,6 +271,13 @@ def ref_riemann_projection(T: np.ndarray, kind: str) -> np.ndarray:
         cyc = R + np.einsum("iklj->ijkl", R) + np.einsum("iljk->ijkl", R)
         return R - cyc / 3.0
     raise ValueError(f"kind {kind!r} has no raw curvature symmetry class")
+
+
+def ref_trace_g0(alg, phi: TwoCochain) -> np.ndarray:
+    """g_0-trace data of a grade-0 two-cochain: (Tr_g0 phi)(X, Y) =
+    tr(ad(phi(X, Y))|g_{-1})."""
+    _check_two(alg, phi, 0, "phi")
+    return np.einsum("abc,c->ab", phi.data, np.einsum("caa->c", alg.block(0, -1)))
 
 
 def ref_ricci_from_riemann(R: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ and d* matrices, the unoptimized d* contraction, the dense einsum trace of
 kappa0, the whole-matrix SVD rank, the whole-matrix oracle solve, the
 dense-pinv harmonic sampler, scipy's matrix exponential, the 2-d
 ``np.nonzero`` read of a dense matrix, the pair-by-pair matrix-realization
-cross-check and, from conftest, the block split with its numbering tables.
+cross-check, the grassmannian builder that put the nonzeros of dense
+commutator blocks, the second-torsion model on the negated dense tensor
+and, from conftest, the block split with its numbering tables.
 Structure constants are dyadic rationals, so wherever the arithmetic is
 exact the two must agree bit for bit; the automorphism residual sums random
 floats in a new order and the exponential is a new algorithm, so those get
@@ -18,6 +20,7 @@ bounds instead.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +40,10 @@ from conftest import (
 
 from ahsnormal.graded_algebra import (
     CHUNK_ENTRIES,
+    GradedLieAlgebra,
+    _build_grassmannian,
+    _put_brackets,
+    _structure,
     cross_check_matrix_rep,
     jacobi_residual,
     matrix_representation,
@@ -47,7 +54,12 @@ from ahsnormal.normalization import (
     trace_kappa0,
     trace_map_matrix,
 )
-from ahsnormal.prolongation_model import FrameChange, automorphism_residual, z_drop_residual
+from ahsnormal.prolongation_model import (
+    FrameChange,
+    automorphism_residual,
+    model_second_torsion,
+    z_drop_residual,
+)
 from ahsnormal.spencer import (
     Blocks,
     Triplets,
@@ -678,3 +690,139 @@ def test_batched_cross_check_matches_pair_loop_on_mutations(kind, params):
         assert got == ref_cross_check_matrix_rep(bad), case
         # in sl(2) each sector holds one bracket, which a sector scalar absorbs
         assert got["max_discrepancy"] > 0.0 or (alg.n_total == 3 and case[2] == "flip"), case
+
+
+# ---------------------------------------------------------------------------
+# the grassmannian builder against its dense-block predecessor
+# ---------------------------------------------------------------------------
+
+
+def ref_put_block(ent: list, D: np.ndarray, i0: int, j0: int, k0: int) -> None:
+    i, j, k = np.nonzero(D)
+    _put_brackets(ent, i0 + i, j0 + j, k0 + k, D[i, j, k])
+
+
+def ref_build_grassmannian(p: int, q: int) -> GradedLieAlgebra:
+    n = p * q
+    n0 = p * p + q * q - 1
+    N = 2 * n + n0
+
+    labels = [f"x^{a + 1}_{i + 1}" for a in range(p) for i in range(q)]
+    g0_labels: list[str] = []
+    A_mats = []
+    D_mats = []
+    off_p = [(u, v) for u in range(p) for v in range(p) if u != v]
+    off_q = [(u, v) for u in range(q) for v in range(q) if u != v]
+    for name, off in (("a", off_p), ("d", off_q)):
+        for u, v in off:
+            A, D = np.zeros((p, p)), np.zeros((q, q))
+            (A if name == "a" else D)[v, u] = 1.0
+            A_mats.append(A)
+            D_mats.append(D)
+            g0_labels.append(f"{name}^{u + 1}_{v + 1}")
+    for k in range(p + q - 1):
+        A = np.zeros((p, p))
+        D = np.zeros((q, q))
+        if k < p:
+            A[k, k] = 1.0
+        else:
+            D[k - p, k - p] = 1.0
+        if k + 1 < p:
+            A[k + 1, k + 1] = -1.0
+        else:
+            D[k + 1 - p, k + 1 - p] = -1.0
+        A_mats.append(A)
+        D_mats.append(D)
+        g0_labels.append(f"H{k + 1}")
+    labels += g0_labels
+    labels += [f"z^{i + 1}_{a + 1}" for a in range(p) for i in range(q)]
+
+    A_mats = np.array(A_mats)
+    D_mats = np.array(D_mats)
+    ou, ov = np.array(off_p, dtype=np.intp).reshape(-1, 2).T
+    du, dv = np.array(off_q, dtype=np.intp).reshape(-1, 2).T
+
+    def coords(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+        diag = np.concatenate([np.diagonal(A, axis1=-2, axis2=-1),
+                               np.diagonal(D, axis1=-2, axis2=-1)], axis=-1)
+        return np.concatenate([A[..., ov, ou], D[..., dv, du], np.cumsum(diag, axis=-1)[..., :-1]],
+                              axis=-1)
+
+    C: list = []
+    o0, o1 = n, n + n0
+    Ip, Iq = np.eye(p), np.eye(q)
+
+    xz = coords(-np.einsum("ij,rb,ca->aibjrc", Iq, Ip, Ip),
+                np.einsum("ab,ri,cj->aibjrc", Ip, Iq, Iq)).reshape(n, n, n0)
+    ref_put_block(C, xz, 0, o1, o0)
+
+    act = (np.einsum("ay,cji->caiyj", Ip, D_mats)
+           - np.einsum("ij,cay->caiyj", Iq, A_mats)).reshape(n0, n, n)
+    ref_put_block(C, act, o0, 0, 0)
+    act = (np.einsum("ij,cya->caiyj", Iq, A_mats)
+           - np.einsum("ay,cij->caiyj", Ip, D_mats)).reshape(n0, n, n)
+    ref_put_block(C, act, o0, o1, o1)
+
+    AA = np.matmul(A_mats[:, None], A_mats[None, :])
+    DD = np.matmul(D_mats[:, None], D_mats[None, :])
+    G = coords(AA - AA.transpose(1, 0, 2, 3), DD - DD.transpose(1, 0, 2, 3))
+    ref_put_block(C, G * np.triu(np.ones((n0, n0)), 1)[:, :, None], o0, o0, o0)
+
+    return GradedLieAlgebra(
+        kind="grassmannian",
+        params={"p": p, "q": q},
+        dims=(n, n0, n),
+        labels=labels,
+        C=_structure(N, C),
+        pairing=np.eye(n),
+        g0_blocks={"A": A_mats, "D": D_mats},
+        normalizable=p + q >= 3,
+        projective_type=(p == 1 and q >= 2),
+    )
+
+
+@pytest.mark.parametrize(
+    "p,q", [(p, q) for p in range(1, 7) for q in range(p, 13 - p)], ids=lambda v: str(v)
+)
+def test_grassmannian_builder_matches_dense_block_reference(p, q):
+    got, ref = _build_grassmannian(p, q), ref_build_grassmannian(p, q)
+    assert_same_triplets(got.C, ref.C)
+    assert not np.any(np.signbit(got.C.vals) != np.signbit(ref.C.vals))
+    assert got.labels == ref.labels
+    assert got.g0_blocks.keys() == ref.g0_blocks.keys()
+    for key, blocks in ref.g0_blocks.items():
+        assert got.g0_blocks[key].dtype == blocks.dtype
+        np.testing.assert_array_equal(got.g0_blocks[key], blocks)
+    assert got.dims == ref.dims and got.normalizable == ref.normalizable
+    assert got.projective_type == ref.projective_type
+    np.testing.assert_array_equal(got.pairing, ref.pairing)
+
+
+def test_grassmannian_builder_takes_no_dense_block():
+    # the dense-block builder peaks at 94 MB here, its (n0, n0, n0)
+    # commutator tensor alone 14 MB; the index rules need about 1.3 MB
+    tracemalloc.start()
+    try:
+        _build_grassmannian(1, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20, peak
+
+
+@pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
+def test_model_second_torsion_matches_negated_dense_tensor(kind, params):
+    # the forced values are C's nonzeros negated; the zeros are +0.0 where
+    # the dense negation held -0.0, which np.array_equal does not tell apart
+    alg = algebra(kind, **params)
+    n, n0, _ = alg.dims
+    N2 = n + n0
+    rng = np.random.default_rng(71)
+    t = TwoCochain(-1, rng.uniform(-1.0, 1.0, (n, n, n)))
+    k0 = TwoCochain(0, rng.uniform(-1.0, 1.0, (n, n, n0)))
+    ref = -ref_dense_C(alg)[:N2, :N2, :N2]
+    ref[:n, :n, :n] += t.data
+    ref[:n, :n, n:] += k0.data
+    got = model_second_torsion(alg, torsion=t, curv0=k0)
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(model_second_torsion(alg), -ref_dense_C(alg)[:N2, :N2, :N2])

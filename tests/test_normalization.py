@@ -16,6 +16,7 @@ from conftest import (
     ref_dense_C,
     ref_ricci_from_riemann,
     ref_riemann_projection,
+    ref_trace_g0,
     with_dense_C,
 )
 
@@ -33,7 +34,6 @@ from ahsnormal.normalization import (
     gamma_closed_form,
     oracle_gamma,
     torsion_is_harmonic,
-    trace_g0,
     trace_kappa0,
     trace_kappa0_via_dstar,
     trace_map_matrix,
@@ -100,7 +100,6 @@ def cochain(alg, cls, grade, value=0.0):
 GRADE_REFUSALS = [
     ("trace_kappa0", "kappa0", TwoCochain, 0, trace_kappa0),
     ("trace_kappa0_via_dstar", "kappa0", TwoCochain, 0, trace_kappa0_via_dstar),
-    ("trace_g0", "phi", TwoCochain, 0, trace_g0),
     ("block_trace_g0", "phi", TwoCochain, 0, block_trace_g0),
     ("deformation_delta_kappa0", "gamma", OneCochain, 1, deformation_delta_kappa0),
     ("torsion_is_harmonic", "torsion", TwoCochain, -1, torsion_is_harmonic),
@@ -138,7 +137,7 @@ def test_trace_of_zero():
     n, n0, _ = alg.dims
     z = TwoCochain(0, np.zeros((n, n, n0)))
     assert np.abs(trace_kappa0(alg, z)).max() == 0.0
-    assert np.abs(trace_g0(alg, z)).max() == 0.0
+    assert np.abs(ref_trace_g0(alg, z)).max() == 0.0
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
@@ -184,7 +183,7 @@ def test_g0_trace_vanishes_on_symmetric_deformations(kind, params):
     else:
         gamma = random_gamma(alg, rng)
     dk = deformation_delta_kappa0(alg, gamma)
-    assert np.abs(trace_g0(alg, dk)).max() == 0.0
+    assert np.abs(ref_trace_g0(alg, dk)).max() == 0.0
 
 
 def test_torsion_is_harmonic_classifier():

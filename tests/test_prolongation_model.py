@@ -182,6 +182,20 @@ def test_second_torsion_shape_validation():
         second_torsion_reduction(alg, np.zeros((4, 4, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_second_torsion_refuses_non_finite_input(bad):
+    # an inf scales the bound to inf, which every residual passes, and an
+    # inf pair makes the free component NaN: both must be refused
+    alg = algebra("conformal", m=3)
+    single = model_second_torsion(alg)
+    single[0, 0, 0] = bad
+    pair = model_second_torsion(alg)
+    pair[0, 1, 4], pair[1, 0, 4] = bad, -bad
+    for full in (single, pair):
+        with pytest.raises(ValueError, match="finite"):
+            second_torsion_reduction(alg, full)
+
+
 # ---------------------------------------------------------------------------
 # transitivity
 # ---------------------------------------------------------------------------
