@@ -71,7 +71,7 @@ class GradedLieAlgebra:
         C: the structure constants ``[b_i, b_j] = sum_k C[i, j, k] b_k`` as
             (N^2, N) :class:`Triplets`, N = dim g: row ``i * N + j``, column
             ``k``, one per nonzero entry, in C order.  All entries are exact
-            dyadic rationals; dense blocks come from :meth:`block`.
+            dyadic rationals, read by grade sector (:meth:`sector`, :meth:`block`).
         pairing: matrix ``P[u, a] = <z_u, x_a>`` of the invariant pairing
             between g_1 and g_{-1} (diagonal in every family).
         g0_blocks: per-family block realization of the g_0 basis, used for
@@ -127,16 +127,19 @@ class GradedLieAlgebra:
             return slice(n + n0, n + n0 + n1)
         raise ValueError(f"grade must be -1, 0 or 1, got {grade}")
 
-    def block(self, gx: int, gy: int) -> np.ndarray:
-        """Structure-tensor block C[g_x basis, g_y basis, g_{x+y} basis], a part:
-        the one place where C is made dense (:meth:`Triplets.dense`)."""
-        gz = gx + gy
-        if abs(gz) > 1:
+    def sector(self, gx: int, gy: int) -> tuple[np.ndarray, ...]:
+        """(i, j, k, value) of the nonzero entries of the sector C[g_x, g_y, g_{x+y}]
+        in C order, the order of ``np.nonzero`` on :meth:`block`."""
+        if abs(gx + gy) > 1:
             raise ValueError("bracket grade out of range")
+        return self.nonzeros(*map(self.grade_slice, (gx, gy, gx + gy)))
 
+    def block(self, gx: int, gy: int) -> np.ndarray:
+        """The dense sector C[g_x basis, g_y basis, g_{x+y} basis], a part: the one
+        place where C is made dense (:meth:`Triplets.dense`), for the dense kernels."""
         def build() -> np.ndarray:
-            i, j, k, v = self.nonzeros(*map(self.grade_slice, (gx, gy, gz)))
-            ni, nj, nk = (self.dims[g + 1] for g in (gx, gy, gz))
+            i, j, k, v = self.sector(gx, gy)
+            ni, nj, nk = (self.dims[g + 1] for g in (gx, gy, gx + gy))
             return Triplets(i * nj + j, k, v, (ni * nj, nk)).dense().reshape(ni, nj, nk)
 
         return self.part(("C", gx, gy), build)
@@ -736,8 +739,12 @@ def _ad_g1(alg: GradedLieAlgebra) -> Triplets:
     """ad: g_1 -> g_{-1}^* (x) g_0, a part of the algebra; column w is the
     one-cochain x_a -> [z_w, x_a] in the (a, c) column slots of
     :func:`ahsnormal.spencer.d_triplets` at grade 0, so their product is d ad."""
-    n, n0, n1 = alg.dims
-    return alg.part("ad", lambda: Triplets.from_dense(alg.block(1, -1).reshape(n1, n * n0).T))
+    def build() -> Triplets:
+        w, a, c, v = alg.sector(1, -1)
+        n, n0, n1 = alg.dims
+        return Triplets(a * n0 + c, w, v, (n * n0, n1))
+
+    return alg.part("ad", build)
 
 
 def _ad_rank(alg: GradedLieAlgebra) -> int:
@@ -789,7 +796,8 @@ def faithfulness_ranks(alg: GradedLieAlgebra) -> dict[str, tuple[int, int]]:
     g_{-1} and for the map g_1 -> Hom(g_{-1}, g_0), Z -> [Z, .].
     """
     n, n0, n1 = alg.dims
-    act = Triplets.from_dense(alg.block(0, -1).reshape(n0, n * n))
+    c, b, i, v = alg.sector(0, -1)
+    act = Triplets(c, b * n + i, v, (n0, n * n))
     return {
         "g0_on_gm1": (Blocks.split(act).rank(), n0),
         "g1_to_hom": (_ad_rank(alg), n1),

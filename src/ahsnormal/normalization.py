@@ -67,10 +67,9 @@ def trace_kappa0(alg: GradedLieAlgebra, kappa0: TwoCochain) -> np.ndarray:
     ``einsum("iac,cbi->ab", kappa0, C[g_0, g_{-1}])`` bit for bit.
     """
     _check_two(alg, kappa0, 0, "kappa0")
-    act = alg.block(0, -1)
     n = alg.dims[0]
-    c, b, i = np.nonzero(act != 0.0)
-    terms = act[c, b, i][:, None] * kappa0.data[i, :, c]  # row k: over X, at Y = b[k]
+    c, b, i, v = alg.sector(0, -1)
+    terms = v[:, None] * kappa0.data[i, :, c]  # row k: over X, at Y = b[k]
     return np.bincount((np.arange(n) * n + b[:, None]).ravel(), terms.ravel(), n * n).reshape(n, n)
 
 

@@ -198,19 +198,21 @@ def second_torsion_reduction(alg: GradedLieAlgebra, full: np.ndarray) -> tuple[T
         raise ValueError(f"second-level torsion must have shape {(N2, N2, N2)}")
     if not np.isfinite(full).all():
         raise ValueError("second-level torsion must be finite")
-    # full minus the forced values -C, which are C's nonzeros negated
-    low = slice(0, N2)
-    diff = full.copy()
-    i, j, k, v = alg.nonzeros(low, low, low)
-    diff[i, j, k] += v
+
+    def defect_of(si: slice, sj: slice) -> float:
+        """Max |full - forced| on full[si, sj]; the forced values -C are C's nonzeros negated."""
+        diff = full[si, sj].copy()
+        i, j, k, v = alg.nonzeros(si, sj, slice(0, N2))
+        diff[i, j, k] += v
+        return float(np.abs(diff, out=diff).max())
+
     # Only pairs with at least one g_0 argument are constrained.
-    defect = max(
-        float(np.abs(diff[n:, :, :]).max()),
-        float(np.abs(diff[:n, n:, :]).max()),
-    )
-    alternation = float(np.abs(full + full.transpose(1, 0, 2)).max())
-    zero_input = not np.any(full)
-    scale = max(1.0, float(np.abs(full).max()))
+    defect = max(defect_of(slice(n, N2), slice(0, N2)), defect_of(slice(0, n), slice(n, N2)))
+    alternation = full + full.transpose(1, 0, 2)
+    alternation = float(np.abs(alternation, out=alternation).max())
+    top = max(float(full.max()), -float(full.min()))
+    zero_input = top == 0.0
+    scale = max(1.0, top)
     bound = SECOND_TORSION_TOL * scale
     consistent = defect <= bound and alternation <= bound
     report = {

@@ -96,15 +96,10 @@ def _check_two(alg: GradedLieAlgebra, phi: TwoCochain, grade=None, name="phi") -
 
 
 def spencer_d(alg: GradedLieAlgebra, psi: OneCochain) -> TwoCochain:
-    """Spencer differential (d psi)(X, Y) = [psi(X), Y] - [psi(Y), X].
-
-    This stays an einsum: ``d_triplets @ psi`` gives the same reports but
-    moves the last digits of the harmonic fingerprints, which take d psi here.
-    """
+    """Spencer differential (d psi)(X, Y) = [psi(X), Y] - [psi(Y), X]."""
     _check_one(alg, psi)
-    B = alg.block(psi.grade, -1)
-    half = np.einsum("au,ubk->abk", psi.data, B)
-    return TwoCochain(psi.grade - 1, half - half.transpose(1, 0, 2))
+    out = _Complex(alg).d(psi.grade) @ psi.data.reshape(-1)
+    return TwoCochain(psi.grade - 1, out.reshape(alg.dims[0], alg.dims[0], -1))
 
 
 def spencer_dstar(alg: GradedLieAlgebra, phi: TwoCochain) -> OneCochain:
@@ -126,12 +121,10 @@ def d_triplets(alg: GradedLieAlgebra, one_grade: int) -> Triplets:
     if one_grade not in ONE_COCHAIN_GRADES:
         raise ValueError("one_grade must be 0 or 1")
     n = alg.dims[0]
-    B = alg.block(one_grade, -1)
-    nv_o, _, nv_t = B.shape
-    u, b, k = np.nonzero(B)
+    nv_o, nv_t = (_value_dim(alg, g) for g in (one_grade, one_grade - 1))
+    u, b, k, val = alg.sector(one_grade, -1)
     c, e = np.nonzero(np.arange(n)[:, None] != b)  # entries with b == c cancel
-    u, b, k = u[e], b[e], k[e]
-    val = B[u, b, k]
+    u, b, k, val = u[e], b[e], k[e], val[e]
     col = c * nv_o + u
     return Triplets(
         np.concatenate([(c * n + b) * nv_t + k, (b * n + c) * nv_t + k]),
@@ -151,15 +144,13 @@ def dstar_triplets(alg: GradedLieAlgebra, two_grade: int) -> Triplets:
     if two_grade not in TWO_COCHAIN_GRADES:
         raise ValueError("two_grade must be -1 or 0")
     n = alg.dims[0]
-    B = alg.block(1, two_grade)
-    nv_t, nv_o = B.shape[1:]
-    W = np.diag(alg.dual_basis())[:, None, None] * B
-    a, k, v = np.nonzero(W)
+    nv_t, nv_o = (_value_dim(alg, g) for g in (two_grade, two_grade + 1))
+    a, k, v, val = alg.sector(1, two_grade)
     b = np.arange(n)[:, None]
     return Triplets(
         (b * nv_o + v).reshape(-1),
         ((a * n + b) * nv_t + k).reshape(-1),
-        np.broadcast_to(W[a, k, v], (n, a.size)).reshape(-1),
+        np.broadcast_to(np.diag(alg.dual_basis())[a] * val, (n, a.size)).reshape(-1),
         (n * nv_o, n * n * nv_t),
     )
 

@@ -3,10 +3,11 @@ recorder of trace-map builds, the structure tensor as a dense array and
 copies of an algebra with a dense one put in, broken copies of an
 algebra, an explicit basis of the harmonic two-cochains, and earlier
 library code kept as references: the bracket on the dense tensor, the
-block split with its numbering tables, the Hodge split of a two-cochain,
-the column-by-column trace-map assembly, the g_0-trace of a grade-0
-two-cochain, the projection onto the raw curvature symmetry classes and
-the Ricci contraction of a raw curvature tensor."""
+block split with its numbering tables, the Spencer differential as an
+einsum, the Hodge split of a two-cochain, the column-by-column trace-map
+assembly, the g_0-trace of a grade-0 two-cochain, the projection onto the
+raw curvature symmetry classes and the Ricci contraction of a raw
+curvature tensor."""
 
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ from ahsnormal.spencer import (
     _check_two,
     _value_dim,
     dstar_matrix,
-    spencer_d,
 )
 from ahsnormal.testkit import _block_trace_rows
 
@@ -228,8 +228,16 @@ def ref_harmonic_decompose(alg, t: TwoCochain) -> tuple[TwoCochain, OneCochain]:
     cx = _Complex(alg)
     P, S = cx.dstar_d_pinv(t.grade)[0], cx.dstar(t.grade)
     psi = OneCochain(t.grade + 1, (P @ (S @ t.data.reshape(-1))).reshape(alg.dims[0], -1))
-    harm = TwoCochain(t.grade, t.data - spencer_d(alg, psi).data)
+    harm = TwoCochain(t.grade, t.data - ref_spencer_d(alg, psi).data)
     return harm, psi
+
+
+def ref_spencer_d(alg, psi: OneCochain) -> TwoCochain:
+    """(d psi)(X, Y) = [psi(X), Y] - [psi(Y), X] as an einsum over the dense
+    block C[g_grade, g_{-1}, .], the library's route before d was applied
+    from its triplets; it shares no code with ``d_triplets``."""
+    half = np.einsum("au,ubk->abk", psi.data, alg.block(psi.grade, -1))
+    return TwoCochain(psi.grade - 1, half - half.transpose(1, 0, 2))
 
 
 def ref_brute_force_trace_map(alg) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import VERIFY_GRID, algebra
+from conftest import LARGEST, VERIFY_GRID, algebra, grid_id
 
 from ahsnormal import cli, graded_algebra, spencer
 from ahsnormal.cli import (
@@ -236,6 +236,24 @@ def test_normalize_factors_the_trace_map_once_per_algebra(trace_map_builds, tmp_
     assert all(code == EXIT_OK for code, _, _ in reports)
     cold = reports[0][2].read_bytes()
     assert all(out.read_bytes() == cold for _, _, out in reports)
+
+
+@pytest.mark.parametrize("kind,params", LARGEST, ids=grid_id)
+def test_normalize_makes_no_dense_block_of_the_structure_tensor(tmp_path, kind, params):
+    # every reader on the normalize path takes C's sector nonzeros, so a
+    # request on a freshly built algebra leaves no ("C", gx, gy) part behind
+    from ahsnormal.testkit import round_trip_sample
+
+    _, k0 = round_trip_sample(algebra(kind, **params), np.random.default_rng(0))
+    src = tmp_path / "planted.json"
+    src.write_text(json.dumps({"kappa0": k0.data.tolist()}))
+    flags = [x for name, value in params.items() for x in (f"--{name}", str(value))]
+    graded_algebra._shared.cache_clear()
+    code, _, _ = run_to_file(tmp_path, "g.json",
+                             ["normalize", "--kind", kind, *flags, "--input", str(src)])
+    assert code == EXIT_OK
+    parts = graded_algebra.build_algebra(kind, **params).parts
+    assert parts and not [key for key in parts if key[0] == "C"]
 
 
 def test_unwritable_output_exits_validation(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,10 @@ Each harmonic digest is the sha256 of the bytes of three
 ``harmonic_sampler`` draws at grade -1, at grade 0 and, on grassmannian
 points, block-trace-free at grade 0, followed by one ``ref_harmonic_decompose``
 split (harmonic part and psi) per grade.  They were recorded before the
-sampler and the decomposition came to share one Hodge projector.  Unlike
+sampler and the decomposition came to share one Hodge projector.  The split
+takes d psi from ``ref_spencer_d``, the einsum over the dense block that
+``spencer_d`` used to be, so the digests stayed as recorded when the library
+came to apply d from its triplets, which sum in another order.  Unlike
 the digests above they pin floating-point output that passes through
 LAPACK SVDs and BLAS products, whose last bits depend on the BLAS build,
 its kernels and its thread count; they are computed in a child process

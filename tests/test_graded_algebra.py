@@ -161,6 +161,20 @@ def test_structure_ranks_match_dense_svd(kind, params):
 
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_sector_is_the_nonzeros_of_the_dense_block(kind, params):
+    alg = algebra(kind, **params)
+    for gx, gy in [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if abs(x + y) <= 1]:
+        B = alg.block(gx, gy)
+        *index, vals = alg.sector(gx, gy)
+        want = np.nonzero(B)
+        for got, ref in zip(index, want, strict=True):
+            np.testing.assert_array_equal(got, ref)
+        assert vals.tobytes() == B[want].tobytes()
+    with pytest.raises(ValueError, match="out of range"):
+        alg.sector(1, 1)
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_grading_residual_is_a_planted_entry(kind, params):
     alg = algebra(kind, **params)
     C = ref_dense_C(alg)

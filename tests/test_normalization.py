@@ -16,6 +16,7 @@ from conftest import (
     ref_dense_C,
     ref_ricci_from_riemann,
     ref_riemann_projection,
+    ref_spencer_d,
     ref_trace_g0,
     with_dense_C,
 )
@@ -51,7 +52,6 @@ from ahsnormal.spencer import (
     TwoCochain,
     cohomology_dim,
     complementarity_check,
-    d_triplets,
     spencer_d,
 )
 from ahsnormal.testkit import (
@@ -143,15 +143,14 @@ def test_trace_of_zero():
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_delta_kappa0_equals_spencer_d(kind, params):
     # the curvature shift of a deformation is + d Gamma (sign included),
-    # checked against the sparse assembly of d, which shares no code with
-    # the einsum of spencer_d; the dyadic structure constants make it exact
+    # checked against the einsum reference of d, which shares no code with
+    # the triplets of d_triplets; the dyadic structure constants make it exact
     alg = algebra(kind, **params)
     n, n0, n1 = alg.dims
-    D = d_triplets(alg, 1)
     rng = np.random.default_rng(402)
     for _ in range(3):
         gamma = OneCochain(1, rng.uniform(-1.0, 1.0, (n, n1)))
-        ref = TwoCochain(0, (D @ gamma.data.reshape(-1)).reshape(n, n, n0))
+        ref = ref_spencer_d(alg, gamma)
         got = deformation_delta_kappa0(alg, gamma).data
         assert got.tobytes() == ref.data.tobytes()
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,18 @@ def test_g1_acts_freely_and_faithfully(kind, params):
     ranks = faithfulness_ranks(algebra(kind, **params))
     got, expected = ranks["g1_to_hom"]
     assert got == expected
+
+
+def test_second_torsion_reduction_holds_at_most_half_an_input_more():
+    # the defect reads copies of the two constrained slices only, and the
+    # alternation and scale hold at most one input-sized temporary
+    alg = algebra("lagrangian", m=9)
+    full = model_second_torsion(alg)
+    tracemalloc.start()
+    try:
+        _, report = second_torsion_reduction(alg, full)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["consistent"]
+    assert peak <= 1.5 * full.nbytes

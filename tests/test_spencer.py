@@ -19,6 +19,7 @@ from conftest import (
     grid_id,
     ref_bracket,
     ref_harmonic_decompose,
+    ref_spencer_d,
 )
 from test_kernel_references import ref_d_matrix, ref_dstar_matrix
 
@@ -82,6 +83,27 @@ def test_d_against_direct_brackets():
             xa[a] = 1.0
             expected = ref_bracket(alg, ga, xb) - ref_bracket(alg, gb, xa)
             np.testing.assert_allclose(out.data[a, b], expected[sl0], atol=1e-13)
+
+
+@pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
+def test_d_equals_the_einsum_reference(kind, params):
+    # Each entry of d psi sums the exact products psi[a, u] C[u, b, k] (the
+    # constants are powers of two) and their negated transposes.  At grade 1
+    # each half has one term, so d applied from its triplets equals the
+    # einsum byte for byte.  At grade 0 a half has up to four terms, which the
+    # triplets add one by one and the einsum sums before subtracting, so the
+    # two may differ by the rounding of those sums of at most 8 terms.
+    alg = algebra(kind, **params)
+    rng = np.random.default_rng(404)
+    for grade in (0, 1):
+        psi = random_one(alg, grade, rng)
+        got, ref = spencer_d(alg, psi), ref_spencer_d(alg, psi)
+        assert got.grade == ref.grade == grade - 1
+        if grade == 1:
+            assert got.data.tobytes() == ref.data.tobytes()
+        mass = np.einsum("au,ubk->abk", np.abs(psi.data), np.abs(alg.block(grade, -1)))
+        bound = 7 * np.finfo(float).eps * (mass + mass.transpose(1, 0, 2))
+        assert (np.abs(got.data - ref.data) <= bound).all()
 
 
 @pytest.mark.parametrize("grade", [0, 1])
