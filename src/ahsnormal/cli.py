@@ -70,6 +70,12 @@ EXIT_INVARIANT = 4
 FRAME_CHANGE_TOL = 1e-10
 EQUIVARIANCE_TOL = 1e-8
 
+# The deepest [ or { nesting that orjson may parse; a valid curvature file
+# nests at most 5 deep.  orjson has no depth limit and overflows the C stack
+# somewhere past 100,000 levels, so deeper text goes to json, which raises
+# RecursionError (exit 2) instead.
+ORJSON_MAX_DEPTH = 64
+
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -186,8 +192,61 @@ def cmd_cohomology(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def _load_kappa0(alg: GradedLieAlgebra, payload: dict) -> tuple[TwoCochain, dict]:
+_NOT_STRUCTURE = bytes(sorted(set(range(256)) - set(b'"[]{}')))
+_DEPTH_STEP = bytes.maketrans(b"[{]}", b"\x01\x01\xff\xff")
+
+
+def _nesting_depth(text: str) -> int:
+    """The deepest [ or { nesting of ``text`` outside strings.
+
+    Only for text without a backslash, where each string runs from one
+    quote to the next; an unterminated string runs to the end, as a parser
+    reads it.
+    """
+    outside = text.encode().translate(None, _NOT_STRUCTURE).split(b'"')[::2]
+    steps = np.frombuffer(b"".join(outside).translate(_DEPTH_STEP), np.int8)
+    return int(steps.cumsum(dtype=np.int64).max(initial=0))
+
+
+def _fast_loads(text: str):
+    """The JSON value of ``text``: orjson's, unless orjson is missing or the
+    text holds a backslash or nests deeper than ORJSON_MAX_DEPTH, where json
+    decodes.  orjson is imported here, so only ``normalize`` loads it.
+
+    orjson raises its JSONDecodeError, a ValueError, on every text json
+    refuses and on some json accepts (NaN and Infinity tokens, 1e400,
+    integers past the float range); where both accept, the values differ
+    only in integers past 64 bits, which orjson returns as the nearest float.
+    """
+    try:
+        import orjson
+    except ImportError:
+        return json.loads(text)
+    if "\\" in text or _nesting_depth(text) > ORJSON_MAX_DEPTH:
+        return json.loads(text)
+    return orjson.loads(text)
+
+
+def _read_curvature(alg: GradedLieAlgebra, text: str) -> tuple[TwoCochain, dict]:
+    """The curvature file ``text`` as :func:`_load_kappa0` of json's value.
+
+    The orjson value is used when it passes validation: its numeric fields
+    then hold the same floats (an integer past 64 bits rounds to the float
+    json's integer converts to).  Any other text, refused by orjson or by
+    validation, is decoded by json and validated again, so its error and
+    message are json's.
+    """
+    try:
+        return _load_kappa0(alg, _fast_loads(text))
+    except ValueError:
+        pass
+    return _load_kappa0(alg, json.loads(text))
+
+
+def _load_kappa0(alg: GradedLieAlgebra, payload) -> tuple[TwoCochain, dict]:
     """Parse the curvature JSON payload into a grade-0 two-cochain."""
+    if not isinstance(payload, dict):
+        raise ValueError("curvature file must hold a JSON object")
     n, n0, _ = alg.dims
     meta: dict = {}
     if "kind" in payload and payload["kind"] != alg.kind:
@@ -249,14 +308,12 @@ def cmd_normalize(args: argparse.Namespace) -> tuple[dict, int]:
     _check_tolerance(args.tolerance)
     alg = build_algebra(args.kind, **_point(args))
     with open(args.input, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if not isinstance(payload, dict):
-        raise ValueError("curvature file must hold a JSON object")
+        text = fh.read()
     # from finite input, overflow is the only way to inf or NaN here (no step
     # divides by data): main refuses it with exit 2, while a non-finite value
     # that a broken step makes still ends as an invariant failure, exit 4
     with np.errstate(over="raise"):
-        kappa0, meta = _load_kappa0(alg, payload)
+        kappa0, meta = _read_curvature(alg, text)
         closed = gamma_closed_form(alg, kappa0)
         oracle = oracle_gamma(alg, kappa0)
         diff = float(np.abs(closed.data - oracle.data).max())
@@ -531,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_NONUNIQUE
     except RecursionError:
-        # json.load of input nested deeper than the interpreter's stack allows
+        # json.loads of input nested deeper than the interpreter's stack allows
         sys.stderr.write("error: input nested too deeply\n")
         return EXIT_VALIDATION
     except FloatingPointError:

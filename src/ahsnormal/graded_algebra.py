@@ -554,11 +554,6 @@ class Triplets:
         self.shape = (int(shape[0]), int(shape[1]))
 
     @classmethod
-    def from_dense(cls, A: np.ndarray) -> Triplets:
-        rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
-        return cls(rows, cols, A[rows, cols], A.shape)
-
-    @classmethod
     def summed(cls, rows, cols, vals, shape: tuple[int, int]) -> Triplets:
         """Triplets from entries whose repeated (row, column) pairs add up;
         entries that sum to zero are dropped."""

@@ -156,13 +156,13 @@ def dstar_triplets(alg: GradedLieAlgebra, two_grade: int) -> Triplets:
 
 
 def d_matrix(alg: GradedLieAlgebra, one_grade: int) -> np.ndarray:
-    """Dense form of :func:`d_triplets`."""
-    return d_triplets(alg, one_grade).dense()
+    """Dense form of the algebra's shared :func:`d_triplets`."""
+    return _Complex(alg).d(one_grade).dense()
 
 
 def dstar_matrix(alg: GradedLieAlgebra, two_grade: int) -> np.ndarray:
-    """Dense form of :func:`dstar_triplets`."""
-    return dstar_triplets(alg, two_grade).dense()
+    """Dense form of the algebra's shared :func:`dstar_triplets`."""
+    return _Complex(alg).dstar(two_grade).dense()
 
 
 def _pair_cols(S: Triplets, n: int) -> Triplets:

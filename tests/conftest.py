@@ -114,11 +114,17 @@ def ref_dense_C(alg) -> np.ndarray:
     return C
 
 
+def triplets_from_dense(A: np.ndarray) -> Triplets:
+    """The nonzeros of a 2-d array as triplets, in C order."""
+    rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
+    return Triplets(rows, cols, A[rows, cols], A.shape)
+
+
 def with_dense_C(alg, C: np.ndarray):
     """A copy of ``alg`` whose structure constants are the nonzeros of the
     dense (N, N, N) array ``C``."""
     N = alg.n_total
-    return dataclasses.replace(alg, C=Triplets.from_dense(np.reshape(C, (N * N, N))))
+    return dataclasses.replace(alg, C=triplets_from_dense(np.reshape(C, (N * N, N))))
 
 
 def ref_bracket(alg, x: np.ndarray, y: np.ndarray) -> np.ndarray:

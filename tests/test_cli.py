@@ -406,6 +406,143 @@ def test_normalize_rejects_non_numeric_curvature(tmp_path, case):
         assert not out.exists()
 
 
+# ---------------------------------------------------------------------------
+# decoding the curvature file: orjson where it agrees with json, json elsewhere
+# ---------------------------------------------------------------------------
+
+BIG = 2**64  # past 64 bits, where orjson returns a float and json an int
+DECODE_POINTS = {
+    "conformal": ("conformal", {"m": 3}),
+    "grassmannian": ("grassmannian", {"p": 1, "q": 2}),
+    "projective": ("projective", {"q": 2}),
+    "lagrangian": ("lagrangian", {"m": 3}),
+    "spinorial": ("spinorial", {"m": 3}),
+}
+LEAF = 12345.0  # one kappa0 entry, replaced by a token in the file text
+
+
+def _flags(kind, params):
+    return ["--kind", kind, *(f"--{k}={v}" for k, v in params.items())]
+
+
+def _planted(kind, params, with_leaf=False):
+    from ahsnormal.testkit import round_trip_sample
+
+    _, k0 = round_trip_sample(algebra(kind, **params), np.random.default_rng(3))
+    kappa0 = k0.data.tolist()
+    if with_leaf:
+        kappa0[0][1][0] = LEAF
+    return {"kind": kind, "params": params, "kappa0": kappa0}
+
+
+def _nested(depth):
+    return "[" * depth + "]" * depth
+
+
+def _decode_corpus():
+    """(id, flags, file bytes): every case json and orjson might read apart."""
+    cases = []
+    for name, (kind, params) in DECODE_POINTS.items():
+        cases.append((f"valid-{name}", _flags(kind, params), json.dumps(_planted(kind, params))))
+    n = algebra("projective", q=2).dims[0]
+    riemann = {"kind": "projective", "params": {"q": 2}, "riemann": constant_curvature(n)}
+    cases.append(("valid-riemann", _flags("projective", {"q": 2}), json.dumps(riemann)))
+
+    kind, params = DECODE_POINTS["lagrangian"]
+    flags = _flags(kind, params)
+    leafy = json.dumps(_planted(kind, params, with_leaf=True))
+    for token in ("NaN", "Infinity", "-Infinity", "1e400", "-0.0", "5e-324", "7",
+                  str(BIG), str(-BIG), str(2**64 - 1), str(-(2**63) - 1), "1" + "0" * 400,
+                  "true", '"0.5"', "null", "[1.0]", "{}", f'{{"x": {BIG}}}', f"[{BIG}, 1]"):
+        cases.append((f"leaf-{token[:24]}", flags, leafy.replace(repr(LEAF), token, 1)))
+    valid = _planted(kind, params)
+    ints = json.loads(json.dumps(valid))
+    ints["kappa0"] = np.zeros(np.shape(valid["kappa0"]), dtype=int).tolist()
+    cases.append(("int-leaves", flags, json.dumps(ints)))
+    ragged = json.loads(json.dumps(valid))
+    ragged["kappa0"][0][1] = ragged["kappa0"][0][1][:-1]
+    cases.append(("ragged", flags, json.dumps(ragged)))
+    body = json.dumps(valid["kappa0"])
+    for key, value in (("params", f'{{"m": {BIG}}}'), ("params", f'{{"m": [{BIG}]}}'),
+                       ("params", '{"m": 3.0}'), ("params", f'{{"m": 3, "x": {BIG}}}'),
+                       ("kind", str(BIG)), ("kind", f"[{BIG}]"), ("kind", '"\\ud800"'),
+                       ("kind", '"lagrangian\\u0000"'), ("kind", '"projective"')):
+        cases.append((f"{key}-{value[:24]}", flags, f'{{"{key}": {value}, "kappa0": {body}}}'))
+    text = json.dumps(valid)
+    cases += [
+        ("bom", flags, "\ufeff" + text),
+        ("trailing-garbage", flags, text + " x"),
+        ("trailing-bracket", flags, text + "]"),
+        ("duplicate-keys", flags, f'{{"kappa0": [], "kappa0": {body}}}'),
+        ("duplicate-keys-bad-last", flags, f'{{"kappa0": {body}, "kappa0": [[["x"]]]}}'),
+        ("unterminated-string", flags, '{"kappa0": "' + _nested(100)),
+        ("top-level-list", flags, body),
+        ("top-level-number", flags, "3"),
+        ("top-level-string", flags, '"kappa0"'),
+        ("empty", flags, ""),
+        ("junk-100-deep", flags, text[:-1] + f', "junk": {_nested(100)}}}'),
+        ("junk-5000-deep", flags, text[:-1] + f', "junk": {_nested(5000)}}}'),
+        ("junk-64-deep", flags, text[:-1] + f', "junk": {_nested(64)}}}'),
+        ("junk-65-deep-in-string", flags, text[:-1] + f', "junk": "{_nested(65)}"}}'),
+        ("kappa0-65-deep", flags, f'{{"kappa0": {_nested(65)}}}'),
+    ]
+    corpus = [(case, argv, source.encode("utf-8")) for case, argv, source in cases]
+    corpus.append(("raw-lone-surrogate", flags, b'{"kind": "\xed\xa0\x80", "kappa0": []}'))
+    corpus.append(("latin-1", flags, b'{"kind": "caf\xe9", "kappa0": []}'))
+    return corpus
+
+
+DECODE_CORPUS = _decode_corpus()
+
+
+@pytest.mark.parametrize("name,flags,data", DECODE_CORPUS, ids=[c[0] for c in DECODE_CORPUS])
+def test_normalize_decodes_as_json_does(tmp_path, monkeypatch, capsys, name, flags, data):
+    pytest.importorskip("orjson")
+    src = tmp_path / "in.json"
+    src.write_bytes(data)
+    argv = ["normalize", *flags, "--input", str(src)]
+    fast = (main(argv), *capsys.readouterr())
+    monkeypatch.setitem(sys.modules, "orjson", None)  # import orjson now fails
+    assert fast == (main(argv), *capsys.readouterr())
+
+
+def test_decode_corpus_reaches_both_parsers():
+    # the corpus above compares two routes only if orjson decodes its valid cases
+    pytest.importorskip("orjson")
+    valid = {name: data.decode() for name, _, data in DECODE_CORPUS if name.startswith("valid-")}
+    assert len(valid) == 6
+    for text in valid.values():
+        assert cli._nesting_depth(text) <= 5 and "\\" not in text
+    assert type(cli._fast_loads(f"[{BIG}]")[0]) is float
+    assert cli._fast_loads(f'[{BIG}, "\\n"]') == [BIG, "\n"]
+    with pytest.raises(json.JSONDecodeError):
+        cli._fast_loads(_nested(65) + f" {BIG}")
+
+
+@pytest.mark.parametrize(
+    "text,depth",
+    [("", 0), ("[]", 1), ('{"a": [[1], {"b": []}]}', 4), ('["[[[[", "]]"]', 1),
+     ('"[[[', 0), ('["]", [[]]]', 3), ("]]][[", 0), (_nested(70), 70)],
+)
+def test_nesting_depth_counts_brackets_outside_strings(text, depth):
+    assert cli._nesting_depth(text) == depth
+
+
+def test_normalize_exits_validation_on_input_nested_two_million_deep(tmp_path):
+    # orjson has no depth limit and kills the process with SIGSEGV here
+    depth = 2_000_000
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"kappa0": ' + _nested(depth) + "}")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ahsnormal", "normalize", "--kind", "conformal", "--m", "3",
+         "--input", str(deep)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        EXIT_VALIDATION, "", "error: input nested too deeply\n")
+
+
 def test_non_finite_report_is_never_emitted(monkeypatch, capsys):
     from ahsnormal import cli
 
@@ -746,6 +883,34 @@ def test_verify_runs_without_loading_scipy():
     # numpy.ma comes in through np.unique's masked-array check, a per-process
     # import cost that no rank needs
     assert proc.stdout.strip() == f"{EXIT_OK} [] False"
+
+
+def test_only_normalize_loads_orjson(tmp_path):
+    # a cold import of orjson costs milliseconds that no other command needs
+    pytest.importorskip("orjson")
+    src = tmp_path / "k0.json"
+    src.write_text(json.dumps({"kappa0": [[[0.0]]]}))
+    code = (
+        "import contextlib, io, sys\n"
+        "from ahsnormal import cli\n"
+        "runs = [['verify', '--kind', 'projective', '--q', '2'],\n"
+        "        ['algebra-info', '--kind', 'conformal', '--m', '3'],\n"
+        "        ['cohomology', '--kind', 'projective', '--q', '2'],\n"
+        f"        ['normalize', '--kind', 'grassmannian', '--p', '1', '--q', '1', '--input', {str(src)!r}]]\n"
+        "for argv in runs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(argv[0], code, 'orjson' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        f"verify {EXIT_OK} False",
+        f"algebra-info {EXIT_OK} False",
+        f"cohomology {EXIT_OK} False",
+        f"normalize {EXIT_NONUNIQUE} True",
+        "",
+    ]
 
 
 def test_every_package_callable_cli_binds_is_a_traced_span(monkeypatch):

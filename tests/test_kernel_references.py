@@ -34,6 +34,7 @@ from conftest import (
     grid_id,
     ref_blocks_split,
     ref_dense_C,
+    triplets_from_dense,
     with_dense_C,
     z_flips,
 )
@@ -360,8 +361,8 @@ def spencer_operators(alg) -> dict[str, np.ndarray]:
     n = alg.dims[0]
     ops = {"trace_map": trace_map_matrix(alg).dense()}
     for grade in (-1, 0):
-        ops[f"d_half_{grade}"] = _pair_cols(Triplets.from_dense(ref_d_matrix(alg, grade + 1)).T, n).T.dense()
-        ops[f"dstar_half_{grade}"] = _pair_cols(Triplets.from_dense(ref_dstar_matrix(alg, grade)), n).dense()
+        ops[f"d_half_{grade}"] = _pair_cols(triplets_from_dense(ref_d_matrix(alg, grade + 1)).T, n).T.dense()
+        ops[f"dstar_half_{grade}"] = _pair_cols(triplets_from_dense(ref_dstar_matrix(alg, grade)), n).dense()
         ops[f"dstar_d_{grade}"] = ref_dstar_matrix(alg, grade) @ ref_d_matrix(alg, grade + 1)
     return ops
 
@@ -416,7 +417,7 @@ def test_blocks_partition_the_nonzeros(kind, params):
         covered = np.zeros(A.shape, dtype=int)
         row_seen = np.zeros(A.shape[0], dtype=int)
         col_seen = np.zeros(A.shape[1], dtype=int)
-        for rows, cols, vals in Blocks.split(Triplets.from_dense(A)).groups:
+        for rows, cols, vals in Blocks.split(triplets_from_dense(A)).groups:
             np.testing.assert_array_equal(A[rows[:, :, None], cols[:, None, :]], vals, err_msg=name)
             for r, c in zip(rows, cols):
                 covered[np.ix_(r, c)] += 1
@@ -438,7 +439,7 @@ def assert_split_as_reference(A: Triplets, name: str = "") -> None:
 @pytest.mark.parametrize("kind,params", VERIFY_GRID, ids=grid_id)
 def test_block_split_matches_its_reference(kind, params):
     alg = algebra(kind, **params)
-    ops = {name: Triplets.from_dense(A) for name, A in spencer_operators(alg).items()}
+    ops = {name: triplets_from_dense(A) for name, A in spencer_operators(alg).items()}
     for grade in (-1, 0):
         D, S = d_triplets(alg, grade + 1), dstar_triplets(alg, grade)
         ops |= {f"d_{grade}": D, f"dstar_{grade}": S, f"d_pairs_{grade}": _pair_cols(D.T, alg.dims[0])}
@@ -456,7 +457,7 @@ def test_block_split_matches_its_reference_on_random_matrices():
         A[:, rng.integers(shape[1])] = 0
         cases.append(A.astype(float))
     for i, A in enumerate(cases):
-        T = Triplets.from_dense(A)
+        T = triplets_from_dense(A)
         order = rng.permutation(T.vals.size)  # the split must not read the entry order
         for B in (T, Triplets(T.rows[order], T.cols[order], T.vals[order], T.shape)):
             assert_split_as_reference(B, f"case {i}")
@@ -469,17 +470,17 @@ def test_block_rank_matches_whole_matrix_svd(kind, params):
     n, n0, n1 = alg.dims
     M = trace_map_matrix(alg)
     ad = alg.block(1, -1).reshape(n1, n * n0).T
-    ranked = {"trace_map": (M, M.dense()), "ad": (Triplets.from_dense(ad), ad)}
+    ranked = {"trace_map": (M, M.dense()), "ad": (triplets_from_dense(ad), ad)}
     for grade in (-1, 0):
         nv = alg.dims[grade + 1]
         D = ref_d_matrix(alg, grade + 1)
         S = ref_dstar_matrix(alg, grade)
         S_swapped = S.reshape(S.shape[0], n, n, nv).transpose(0, 2, 1, 3).reshape(S.shape)
-        D_half = _pair_cols(Triplets.from_dense(D).T, n).T
-        S_half = _pair_cols(Triplets.from_dense(S), n)
+        D_half = _pair_cols(triplets_from_dense(D).T, n).T
+        S_half = _pair_cols(triplets_from_dense(S), n)
         ranked[f"d_half_{grade}"] = (D_half, D)
         ranked[f"dstar_half_{grade}"] = (S_half, 0.5 * (S - S_swapped))
-        ranked[f"dstar_d_{grade}"] = (Triplets.from_dense(S) @ Triplets.from_dense(D), S @ D)
+        ranked[f"dstar_d_{grade}"] = (triplets_from_dense(S) @ triplets_from_dense(D), S @ D)
     for name, (part, full) in ranked.items():
         assert Blocks.split(part).rank() == ref_svd_rank(full, 1e-9), name
 
@@ -561,7 +562,7 @@ def test_from_g0_exponential_matches_extended_taylor(kind, params):
 
 
 # ---------------------------------------------------------------------------
-# the flat nonzero scan of Triplets.from_dense and the batched matrix cross-check
+# the flat nonzero scan of triplets_from_dense and the batched matrix cross-check
 # ---------------------------------------------------------------------------
 
 # Points beyond GRID for the cross-check: the pair kinds at m = 7, 8 and
@@ -620,12 +621,12 @@ def test_flat_nonzero_scan_matches_nonzero_on_operators(kind, params):
     alg = algebra(kind, **params)
     for grade in (0, 1):
         A = d_matrix(alg, grade)
-        assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
+        assert_same_triplets(triplets_from_dense(A), ref_from_dense(A))
     for grade in (-1, 0):
         A = dstar_matrix(alg, grade)
-        assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
+        assert_same_triplets(triplets_from_dense(A), ref_from_dense(A))
     A = trace_map_matrix(alg).dense()
-    assert_same_triplets(Triplets.from_dense(A), ref_from_dense(A))
+    assert_same_triplets(triplets_from_dense(A), ref_from_dense(A))
     # the structure constants are the C-order nonzeros of the dense tensor
     N = alg.n_total
     assert_same_triplets(alg.C, ref_from_dense(ref_dense_C(alg).reshape(N * N, N)))
@@ -644,7 +645,7 @@ def test_flat_nonzero_scan_matches_nonzero_on_random_input(shape):
     A[special < 0.005] = -0.0
     A[special > 0.998] = np.nan
     for view in (A, A.T, np.asfortranarray(A), A[::-1, ::2]):
-        assert_same_triplets(Triplets.from_dense(view), ref_from_dense(view))
+        assert_same_triplets(triplets_from_dense(view), ref_from_dense(view))
 
 
 def mutated_per_sector(alg):

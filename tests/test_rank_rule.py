@@ -6,12 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import GRID, algebra, grid_id, ref_dense_C
+from conftest import GRID, algebra, grid_id, ref_dense_C, triplets_from_dense
 
 from ahsnormal.normalization import trace_map_matrix
 from ahsnormal.spencer import (
     Blocks,
-    Triplets,
     _pair_cols,
     d_triplets,
     dstar_triplets,
@@ -72,5 +71,5 @@ def test_singular_values_are_far_from_the_cutoff(kind, params):
 )
 def test_rank_entry_points_share_the_cutoff(diag, rank):
     A = np.diag(diag)
-    blocks = Blocks.split(Triplets.from_dense(A))
+    blocks = Blocks.split(triplets_from_dense(A))
     assert blocks.rank() == blocks.pinv()[1] == rank
