@@ -14,6 +14,7 @@ import dataclasses
 import errno
 import json
 import os
+import re
 import sys
 from itertools import chain
 
@@ -87,12 +88,42 @@ def _point(args: argparse.Namespace) -> dict:
     return {k: getattr(args, k) for k in ("p", "q", "m") if getattr(args, k, None) is not None}
 
 
+# An orjson number token whose notation differs from float.__repr__'s, which
+# prints the same shortest digits: an exponent (orjson 1e16 and 1e-7, repr
+# 1e+16 and 1e-07), a fraction below 1e-4 written out (0.00001, repr 1e-05),
+# or 17 or more integer digits (at least 1e16, where repr uses an exponent).
+# Anchored at token starts, so no token is backtracked into.
+_NOT_REPR = re.compile(rb"(?<=[\[,])-?(?:[0-9.]+e[-+]?[0-9]+|0\.0000[0-9]*|[0-9]{17}[0-9.]*)")
+
+
+def _compact_json(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` of a float array,
+    through orjson's numpy encoder where orjson imports; a non-finite entry
+    raises json's ValueError.
+
+    orjson writes the shortest round-trip digits, as repr does, and NaN and
+    infinity as null, so the array is checked first and only the tokens of
+    :data:`_NOT_REPR` are printed again, by repr.
+    """
+    peak = float(np.abs(a).max(initial=0.0))
+    if not np.isfinite(peak):
+        json.dumps(a.tolist(), allow_nan=False)  # raises json's ValueError
+    try:
+        import orjson
+    except ImportError:
+        return json.dumps(a.tolist(), separators=(",", ":"))
+    text = orjson.dumps(np.ascontiguousarray(a, dtype=float), option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text or b"0.0000" in text or peak >= 1e16:
+        text = _NOT_REPR.sub(lambda m: repr(float(m[0])).encode(), text)
+    return text.decode()
+
+
 def _emit(report: dict, output: str | None) -> None:
     """Write the report; a non-finite number raises ValueError, as bare NaN
     or Infinity tokens are not JSON.
 
     A top-level 2-d ndarray value is written as its nested list would be,
-    but through json's C encoder: a placeholder stands in for it in the
+    but through :func:`_compact_json`: a placeholder stands in for it in the
     indented dump and is then swapped for the compact list, laid out at
     indent 2.
     """
@@ -100,8 +131,8 @@ def _emit(report: dict, output: str | None) -> None:
     marks = {k: f"\0ndarray {k}" for k in arrays}
     text = json.dumps({**report, **marks}, sort_keys=True, indent=2, allow_nan=False) + "\n"
     for k, a in arrays.items():
-        rows = json.dumps(a.tolist(), allow_nan=False)[2:-2]
-        rows = rows.replace("], [", "\n    ],\n    [\n      ").replace(", ", ",\n      ")
+        rows = _compact_json(a)[2:-2]
+        rows = rows.replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
         text = text.replace(json.dumps(marks[k]), f"[\n    [\n      {rows}\n    ]\n  ]", 1)
     if output is not None:
         with open(output, "w", encoding="utf-8") as fh:

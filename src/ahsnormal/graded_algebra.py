@@ -129,10 +129,12 @@ class GradedLieAlgebra:
 
     def sector(self, gx: int, gy: int) -> tuple[np.ndarray, ...]:
         """(i, j, k, value) of the nonzero entries of the sector C[g_x, g_y, g_{x+y}]
-        in C order, the order of ``np.nonzero`` on :meth:`block`."""
+        in C order, the order of ``np.nonzero`` on :meth:`block`; a part, so C
+        is scanned once per sector and algebra."""
         if abs(gx + gy) > 1:
             raise ValueError("bracket grade out of range")
-        return self.nonzeros(*map(self.grade_slice, (gx, gy, gx + gy)))
+        return self.part(("sector", gx, gy),
+                         lambda: self.nonzeros(*map(self.grade_slice, (gx, gy, gx + gy))))
 
     def block(self, gx: int, gy: int) -> np.ndarray:
         """The dense sector C[g_x basis, g_y basis, g_{x+y} basis], a part: the one

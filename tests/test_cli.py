@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import json
 import os
 import subprocess
@@ -568,6 +570,77 @@ def test_emit_writes_arrays_as_their_nested_lists(shape, capsys):
         cli._emit(report, None)
         want = json.dumps(lists, sort_keys=True, indent=2, allow_nan=False) + "\n"
         assert capsys.readouterr().out == want
+
+
+# Doubles where orjson's notation and float.__repr__'s part: the signed
+# zeros, the subnormal and normal ends, around 1e-4, around 1e16, powers of
+# two from 2**53 on and the largest double.
+EMIT_EDGES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 1e-4,
+              9999999999999998.0, 1e16, 2.0**53, 2.0**63, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("route", ["orjson", "json"])
+def test_emit_matches_json_on_finite_doubles(monkeypatch, route):
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
+
+    if route == "orjson":
+        pytest.importorskip("orjson")
+    else:
+        monkeypatch.setitem(sys.modules, "orjson", None)  # import orjson now fails
+    edges = EMIT_EDGES + [-x for x in EMIT_EDGES]
+    doubles = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(edges)
+    shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=5)
+    arrays = hnp.arrays(np.float64, shapes, elements=doubles)
+    all_edges = np.resize(edges, (5, 5))
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.example(all_edges, -all_edges)
+    @hypothesis.given(arrays, arrays)
+    def check(gamma, oracle):
+        report = {"kind": "conformal", "params": {"m": 3}, "gamma": gamma, "gamma_oracle": oracle,
+                  "residual_trace_norm": 1e-17}
+        want = json.dumps({**report, "gamma": gamma.tolist(), "gamma_oracle": oracle.tolist()},
+                          sort_keys=True, indent=2) + "\n"
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(report, None)
+        assert out.getvalue() == want
+
+    check()
+
+
+def test_emit_reprints_positional_tokens_as_repr(monkeypatch):
+    # an encoder that writes every double positionally with its shortest
+    # digits, as a future orjson might past 1e16 or below 1e-4
+    def positional(x: float) -> str:
+        text = np.format_float_positional(x)
+        return text + "0" if text.endswith(".") else text
+
+    def dumps(a, option):
+        return ("[" + ",".join("[" + ",".join(map(positional, row)) + "]" for row in a) + "]").encode()
+
+    monkeypatch.setitem(sys.modules, "orjson", types.SimpleNamespace(OPT_SERIALIZE_NUMPY=0, dumps=dumps))
+    large = np.array([[1e16, -(2.0**63), 1.7976931348623157e308], [1.0, -0.0, 123.25]])
+    small = np.array([[5e-324, -9.999999999999999e-05, 1e-4, 1e-7]])
+    for a in (large, small):
+        assert cli._compact_json(a) == json.dumps(a.tolist(), separators=(",", ":"))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_gamma_is_refused_with_orjson_as_without(monkeypatch, capsys, bad):
+    # orjson would write NaN and infinity as null
+    pytest.importorskip("orjson")
+    gamma = np.zeros((3, 4))
+    gamma[1, 2] = bad
+    monkeypatch.setattr(cli, "cmd_algebra_info", lambda args: ({"gamma": gamma}, EXIT_OK))
+    argv = ["algebra-info", "--kind", "conformal", "--m", "3"]
+    fast = (main(argv), *capsys.readouterr())
+    assert fast[:2] == (EXIT_INVARIANT, "") and "non-finite" in fast[2]
+    monkeypatch.setitem(sys.modules, "orjson", None)
+    assert fast == (main(argv), *capsys.readouterr())
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

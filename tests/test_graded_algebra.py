@@ -174,6 +174,29 @@ def test_sector_is_the_nonzeros_of_the_dense_block(kind, params):
         alg.sector(1, 1)
 
 
+@pytest.mark.parametrize("kind,params", SMALL, ids=grid_id)
+def test_sector_is_a_read_only_part(kind, params):
+    alg = algebra(kind, **params)
+    for gx, gy in [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if abs(x + y) <= 1]:
+        first = alg.sector(gx, gy)
+        assert all(a is b for a, b in zip(first, alg.sector(gx, gy), strict=True))
+        for part in first:
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0
+    # a copy with one sign flipped reads its own sector, not its origin's
+    i, j, k, v = alg.sector(0, -1)
+    C = ref_dense_C(alg)
+    sx, sy, sk = map(alg.grade_slice, (0, -1, -1))
+    a, b, c = i[0] + sx.start, j[0] + sy.start, k[0] + sk.start
+    C[a, b, c] *= -1.0
+    C[b, a, c] *= -1.0
+    *index, flipped = with_dense_C(alg, C).sector(0, -1)
+    for got, ref in zip(index, (i, j, k), strict=True):
+        np.testing.assert_array_equal(got, ref)
+    assert flipped[0] == -v[0] and (flipped[1:] == v[1:]).all()
+    assert alg.sector(0, -1)[3] is v
+
+
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_grading_residual_is_a_planted_entry(kind, params):
     alg = algebra(kind, **params)

@@ -562,7 +562,7 @@ def test_from_g0_exponential_matches_extended_taylor(kind, params):
 
 
 # ---------------------------------------------------------------------------
-# the flat nonzero scan of triplets_from_dense and the batched matrix cross-check
+# C's sector scans, Triplets.summed and the batched matrix cross-check
 # ---------------------------------------------------------------------------
 
 # Points beyond GRID for the cross-check: the pair kinds at m = 7, 8 and
@@ -618,18 +618,19 @@ def assert_same_triplets(got: Triplets, ref: Triplets) -> None:
 
 @pytest.mark.parametrize("kind,params", GRID, ids=grid_id)
 def test_flat_nonzero_scan_matches_nonzero_on_operators(kind, params):
+    """C and each of its sectors, a scan of C's nonzeros kept as a part, are
+    the C-order ``np.nonzero`` read of the dense reference tensor."""
     alg = algebra(kind, **params)
-    for grade in (0, 1):
-        A = d_matrix(alg, grade)
-        assert_same_triplets(triplets_from_dense(A), ref_from_dense(A))
-    for grade in (-1, 0):
-        A = dstar_matrix(alg, grade)
-        assert_same_triplets(triplets_from_dense(A), ref_from_dense(A))
-    A = trace_map_matrix(alg).dense()
-    assert_same_triplets(triplets_from_dense(A), ref_from_dense(A))
-    # the structure constants are the C-order nonzeros of the dense tensor
+    C = ref_dense_C(alg)
+    for gx, gy in [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1) if abs(x + y) <= 1]:
+        ref = C[alg.grade_slice(gx), alg.grade_slice(gy), alg.grade_slice(gx + gy)]
+        want = np.nonzero(ref)
+        *index, vals = alg.sector(gx, gy)
+        for got, w in zip(index, want, strict=True):
+            assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+        assert vals.tobytes() == ref[want].tobytes()
     N = alg.n_total
-    assert_same_triplets(alg.C, ref_from_dense(ref_dense_C(alg).reshape(N * N, N)))
+    assert_same_triplets(alg.C, ref_from_dense(C.reshape(N * N, N)))
 
 
 @pytest.mark.parametrize(
@@ -639,13 +640,24 @@ def test_flat_nonzero_scan_matches_nonzero_on_operators(kind, params):
     ids=str,
 )
 def test_flat_nonzero_scan_matches_nonzero_on_random_input(shape):
+    """``Triplets.summed`` of every entry of a dense array, shuffled and some
+    split into two addends, is the array's ``np.nonzero`` read: zeros, -0.0
+    and addends that cancel are dropped, NaN is kept."""
     rng = np.random.default_rng(sum(shape))
     A = np.where(rng.random(shape) < 0.01, rng.integers(-4, 5, shape) / 4.0, 0.0)
     special = rng.random(shape)
     A[special < 0.005] = -0.0
     A[special > 0.998] = np.nan
     for view in (A, A.T, np.asfortranarray(A), A[::-1, ::2]):
-        assert_same_triplets(triplets_from_dense(view), ref_from_dense(view))
+        rows, cols = (index.ravel() for index in np.indices(view.shape))
+        vals = view[rows, cols]
+        # v = (v - 0.5) + 0.5, exact for the quarters in [-1, 1]
+        split = (rng.random(vals.size) < 0.3) & ~np.isnan(vals)
+        rows, cols = np.concatenate([rows, rows[split]]), np.concatenate([cols, cols[split]])
+        vals = np.concatenate([np.where(split, vals - 0.5, vals), np.full(split.sum(), 0.5)])
+        order = rng.permutation(vals.size)
+        got = Triplets.summed(rows[order], cols[order], vals[order], view.shape)
+        assert_same_triplets(got, ref_from_dense(view))
 
 
 def mutated_per_sector(alg):
