@@ -10,23 +10,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graded_algebra import GradedLieAlgebra, _pairs, rank_cutoff
+from .graded_algebra import Blocks, GradedLieAlgebra, Triplets, _pairs
 from .normalization import _pair_coefficients, deformation_delta_kappa0
 # dstar_matrix is unused here; perfbench's tracer test patches and restores testkit.dstar_matrix
-from .spencer import OneCochain, TwoCochain, _Complex, _value_dim, dstar_matrix  # noqa: F401
+from .spencer import (  # noqa: F401
+    OneCochain, TwoCochain, _Complex, _pair_cols, _value_dim, dstar_matrix,
+)
 
 
-def _block_trace_rows(alg: GradedLieAlgebra, grade: int) -> np.ndarray:
+def _block_trace_rows(alg: GradedLieAlgebra, grade: int) -> Triplets:
     """Matrix sending a vectorized (n, n, nv) cochain to the gl(q)-block trace
-    of its value at each argument pair (grassmannian grade 0 only)."""
+    of its value at each argument pair a < b (grassmannian grade 0 only)."""
     if grade != 0 or "D" not in alg.g0_blocks:
         raise ValueError("block_trace_free applies to grassmannian grade-0 cochains")
     n = alg.dims[0]
     nv = _value_dim(alg, grade)
     tr = np.einsum("caa->c", alg.g0_blocks["D"])
-    R = np.zeros((n * n, n * n, nv))
-    R[np.arange(n * n), np.arange(n * n)] = tr
-    return R.reshape(n * n, -1)
+    a, b = np.triu_indices(n, 1)
+    t, c = np.nonzero(np.broadcast_to(tr != 0, (a.size, nv)))
+    return Triplets(t, (a[t] * n + b[t]) * nv + c, tr[c], (a.size, n * n * nv))
 
 
 def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
@@ -47,27 +49,25 @@ def harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
     def harm(vec: np.ndarray) -> np.ndarray:
         return vec - D @ (P @ (S @ vec))
 
-    def swap_cols(M: np.ndarray) -> np.ndarray:
-        return M.reshape(M.shape[0], n, n, nv).transpose(0, 2, 1, 3).reshape(M.shape)
-
-    Gp = R = None
     if block_trace_free:
+        # G = R - Y S, Y = R D pinv(d* d), is the block trace on the harmonic
+        # subspace; with A the alternation the correction pinv(G A) R h is
+        # A G^T pinv(K) R h for the Gram K = G A G^T, split by weight.  At
+        # (p, q) = (1, 2) the map is rounding noise and K is exactly zero.
         R = _block_trace_rows(alg, grade)
-        # block trace as a map on the harmonic subspace, restricted to
-        # alternating inputs; its pseudoinverse yields the correction that
-        # cancels the block-trace data without leaving the subspace.  Where
-        # the map is rounding noise (p = 1) the correction is exactly zero.
-        G = R - ((R @ D) @ P) @ S
-        U, s, Vt = np.linalg.svd(0.5 * (G - swap_cols(G)), full_matrices=False)
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rank_cutoff(s.max(initial=0.0)))
-        Gp = Vt.T @ (inv[:, None] * U.T)
+        Y = (R @ D).dense() @ P
+        Rp, Sp = _pair_cols(R, n), _pair_cols(S, n)
+        YSR = Y @ (Sp @ Rp.T)
+        K = 2.0 * ((Rp @ Rp.T).dense() - YSR - YSR.T + (Y @ (Sp @ Sp.T)) @ Y.T)
+        Kp = Blocks.split(Triplets(*np.nonzero(K), K[K != 0], K.shape)).pinv()[0]
 
     def draw(rng: np.random.Generator) -> TwoCochain:
         t = rng.uniform(-1.0, 1.0, (n, n, nv))
         t = 0.5 * (t - t.transpose(1, 0, 2))
         h = harm(t.reshape(-1))
         if block_trace_free:
-            c = (Gp @ (R @ h)).reshape(n, n, nv)
+            z = Kp @ (R @ h)
+            c = (R.T @ z - S.T @ (Y.T @ z)).reshape(n, n, nv)
             c = 0.5 * (c - c.transpose(1, 0, 2))
             h = h - harm(c.reshape(-1))
         return TwoCochain(grade, h.reshape(n, n, nv))

@@ -1,13 +1,14 @@
 """Shared test helpers: a cached algebra factory, the parameter grid, a
 recorder of trace-map builds, the structure tensor as a dense array and
 copies of an algebra with a dense one put in, broken copies of an
-algebra, an explicit basis of the harmonic two-cochains, and earlier
+algebra, an explicit basis of the harmonic two-cochains, the Gram matrix
+that the block-trace-free harmonic sampler pseudo-inverts, and earlier
 library code kept as references: the bracket on the dense tensor, the
 block split with its numbering tables, the Spencer differential as an
-einsum, the Hodge split of a two-cochain, the column-by-column trace-map
-assembly, the g_0-trace of a grade-0 two-cochain, the projection onto the
-raw curvature symmetry classes and the Ricci contraction of a raw
-curvature tensor."""
+einsum, the Hodge split of a two-cochain, the dense block-trace rows on
+all argument pairs, the column-by-column trace-map assembly, the g_0-trace
+of a grade-0 two-cochain, the projection onto the raw curvature symmetry
+classes and the Ricci contraction of a raw curvature tensor."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from ahsnormal.spencer import (
     _value_dim,
     dstar_matrix,
 )
-from ahsnormal.testkit import _block_trace_rows
+from ahsnormal.testkit import harmonic_sampler
 
 # Full parameter grid: every kind over its validity range, with the
 # degenerate sl(2) = grassmannian(1, 1) included for structural checks.
@@ -154,6 +155,37 @@ def ref_alternating_injection(n: int, nv: int) -> np.ndarray:
     return M
 
 
+def ref_block_trace_rows(alg, grade: int) -> np.ndarray:
+    """The block-trace rows as ``testkit`` built them: a dense matrix sending
+    a vectorized (n, n, nv) cochain to the gl(q)-block trace of its value
+    at each of the n * n argument pairs (grassmannian grade 0 only)."""
+    if grade != 0 or "D" not in alg.g0_blocks:
+        raise ValueError("block_trace_free applies to grassmannian grade-0 cochains")
+    n = alg.dims[0]
+    nv = _value_dim(alg, grade)
+    tr = np.einsum("caa->c", alg.g0_blocks["D"])
+    R = np.zeros((n * n, n * n, nv))
+    R[np.arange(n * n), np.arange(n * n)] = tr
+    return R.reshape(n * n, -1)
+
+
+def block_trace_gram(alg) -> np.ndarray:
+    """The Gram matrix that ``harmonic_sampler(block_trace_free=True)``
+    pseudo-inverts, caught at its ``Blocks.split``: the last split of the
+    setup, after the Spencer complex's own."""
+    seen = []
+    split = Blocks.split.__func__
+
+    def catching(cls, A):
+        seen.append(A)
+        return split(cls, A)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Blocks, "split", classmethod(catching))
+        harmonic_sampler(alg, 0, block_trace_free=True)
+    return seen[-1].dense()
+
+
 def ref_harmonic_basis(alg, grade: int, block_trace_free: bool = False) -> np.ndarray:
     """Basis of the harmonic alternating two-cochains at ``grade``.
 
@@ -167,7 +199,7 @@ def ref_harmonic_basis(alg, grade: int, block_trace_free: bool = False) -> np.nd
     alt = ref_alternating_injection(n, nv)
     rows = [dstar_matrix(alg, grade)]
     if block_trace_free:
-        rows.append(_block_trace_rows(alg, grade))
+        rows.append(ref_block_trace_rows(alg, grade))
     M = np.vstack(rows) @ alt
     _, s, vt = np.linalg.svd(M)
     rank = int((s > rank_cutoff(s.max(initial=0.0))).sum())

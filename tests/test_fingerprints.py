@@ -25,7 +25,11 @@ split (harmonic part and psi) per grade.  They were recorded before the
 sampler and the decomposition came to share one Hodge projector.  The split
 takes d psi from ``ref_spencer_d``, the einsum over the dense block that
 ``spencer_d`` used to be, so the digests stayed as recorded when the library
-came to apply d from its triplets, which sum in another order.  Unlike
+came to apply d from its triplets, which sum in another order.  The eight
+grassmannian digests from p, q = 1, 3 on were recorded again when the
+block-trace correction went from the SVD of a dense (n^2, n^2 n0) map to a
+block pseudo-inverse of its Gram matrix on the a < b rows: the draws moved
+by rounding only, and at p, q = 1, 1 and 1, 2 not at all.  Unlike
 the digests above they pin floating-point output that passes through
 LAPACK SVDs and BLAS products, whose last bits depend on the BLAS build,
 its kernels and its thread count; they are computed in a child process
@@ -112,14 +116,14 @@ HARMONIC_DIGESTS = {
     "conformal-6": "1d94a30cf26f6dcb6a059de1ab0a70b63f4c363c7865c22871ca5e8c6c2e8fdb",
     "grassmannian-1-1": "39f37f8d1931b3bdf767e7510dd69509fbf23af1f7654933d0a4d291cbdd4418",
     "grassmannian-1-2": "3b8b08fa123a1e9ab8d05840beb5b16d93381c392e39dddefc9ea08f956452b4",
-    "grassmannian-1-3": "ee2c31518c0180bcb92a3c2c12cb5e3ea877a87f1bdaa87a20b67e71b9c18a8c",
-    "grassmannian-1-4": "3d75e1092d8b40e1b63a52cb35c022b44f14a98768d444b763a1b1ecae3deabe",
-    "grassmannian-2-2": "c9c95cdc196c1add16a13733e20bbdd58426aff50c7c8c6eb3b5be1112132e57",
-    "grassmannian-2-3": "ca58c9ebacc5fbb7acede8767ff8603c14bcdd4462f8dd71960cae9ff63df8d7",
-    "grassmannian-2-4": "70e23f7cd42c7c28d8d6c216586f64c37ac9bfa9d39e8b71bd33186f97ae52cd",
-    "grassmannian-3-3": "9dbe60d0e2fb847d7eb211d579ca26aa2f0e948966cf27ec8fb5e51d17bc9d5e",
-    "grassmannian-3-4": "a631028ce1d7784881865ebad55c16181a353dc96fb214b868a3e2bdda50f046",
-    "grassmannian-4-4": "74b5812664efbcc28dac4ce50a502063c6d907da15395f99b77473e69eea5d61",
+    "grassmannian-1-3": "abd5b953370d97eb849f82f2032102c69b66c523f1e512616e81249cf8c7c821",
+    "grassmannian-1-4": "a52844e114458afa853fd43906129257486cb7d8f0d1f35c568385bc2981366d",
+    "grassmannian-2-2": "41ee1cceb6de97e3ce595b71910a6580fe086936f4d9bd92bf0eac9a91f6bb6f",
+    "grassmannian-2-3": "f1da73da296648b017d426ae32e7d8c1ef8b47e59a1cfc4373ac0f555364fa15",
+    "grassmannian-2-4": "b978deaf5e355865df7e01697b43eea93632f3e25215a7229bb76045216ba278",
+    "grassmannian-3-3": "60bf045314bf94ac9daa5e48691e766cca6d4054884db7e2c06dc3b2f4a19511",
+    "grassmannian-3-4": "a9c352c1c844e6c0dd2c90141ba9c5fa9a042b0ac605761c27552c10beee504d",
+    "grassmannian-4-4": "c37366195d27078c8697cfe6662e407989fd19f7c8fc41d18e91e655898995ea",
     "projective-2": "a1ea14c1440971d1a9c54bc5909514fb4d8e4cbee3845c7905c2508c9c25f6ff",
     "projective-3": "16390a2f9f77fee555a9326a89899f744bbf566dc02910eb9207353f60d4a857",
     "projective-4": "9fc2831d7495afc1d85576b438842df5f59017a9e3319d7469afdf28bfca4b98",

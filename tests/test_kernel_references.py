@@ -6,11 +6,12 @@ unoptimized automorphism contraction, the full-matrix complementarity and
 cohomology ranks, the hand-written z_drop contraction, the loop-built d
 and d* matrices, the unoptimized d* contraction, the dense einsum trace of
 kappa0, the whole-matrix SVD rank, the whole-matrix oracle solve, the
-dense-pinv harmonic sampler, scipy's matrix exponential, the 2-d
-``np.nonzero`` read of a dense matrix, the pair-by-pair matrix-realization
-cross-check, the grassmannian builder that put the nonzeros of dense
-commutator blocks, the second-torsion model on the negated dense tensor
-and, from conftest, the block split with its numbering tables.
+dense-pinv harmonic sampler with its dense block-trace map, scipy's matrix
+exponential, the 2-d ``np.nonzero`` read of a dense matrix, the
+pair-by-pair matrix-realization cross-check, the grassmannian builder that
+put the nonzeros of dense commutator blocks, the second-torsion model on
+the negated dense tensor and, from conftest, the block split with its
+numbering tables and the dense block-trace rows on all n^2 argument pairs.
 Structure constants are dyadic rationals, so wherever the arithmetic is
 exact the two must agree bit for bit; the automorphism residual sums random
 floats in a new order and the exponential is a new algorithm, so those get
@@ -31,7 +32,9 @@ from conftest import (
     SMALL,
     VERIFY_GRID,
     algebra,
+    block_trace_gram,
     grid_id,
+    ref_block_trace_rows,
     ref_blocks_split,
     ref_dense_C,
     triplets_from_dense,
@@ -75,7 +78,7 @@ from ahsnormal.spencer import (
     dstar_triplets,
     spencer_dstar,
 )
-from ahsnormal.testkit import _block_trace_rows, harmonic_sampler
+from ahsnormal.testkit import harmonic_sampler
 
 # Grid points small enough for the O(N^5) references; sl(2) is among them.
 REF_GRID = [(k, p) for k, p in GRID if algebra(k, **p).n_total <= 55]
@@ -339,7 +342,7 @@ def ref_harmonic_sampler(alg, grade: int, block_trace_free: bool = False):
 
     Gp = R = None
     if block_trace_free:
-        R = _block_trace_rows(alg, grade)
+        R = ref_block_trace_rows(alg, grade)
         G = R - ((R @ D) @ P) @ S
         Gp = np.linalg.pinv(0.5 * (G - swap_cols(G)), rcond=1e-12)
 
@@ -507,6 +510,25 @@ def test_block_pinv_sampler_matches_dense_pinv(kind, params):
         got = harmonic_sampler(alg, grade, block_trace_free=trace_free)(np.random.default_rng(5))
         ref = ref_harmonic_sampler(alg, grade, block_trace_free=trace_free)(np.random.default_rng(5))
         assert np.abs(got.data - ref.data).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kind,params", [(k, p) for k, p in GRID if k == "grassmannian"], ids=grid_id
+)
+def test_block_trace_gram_matches_dense_operator(kind, params):
+    # the sampler pseudo-inverts the Gram K = G A G^T on the a < b rows, in
+    # place of the dense (n^2, n^2 n0) map G A it took the SVD of, where
+    # G = R - R D pinv(d* d) d* on the dense block-trace rows R and A is the
+    # alternation
+    alg = algebra(kind, **params)
+    n, n0, _ = alg.dims
+    D, S = d_matrix(alg, 1), dstar_matrix(alg, 0)
+    R = ref_block_trace_rows(alg, 0)
+    G = R - ((R @ D) @ np.linalg.pinv(S @ D, rcond=1e-12)) @ S
+    GA = 0.5 * (G - G.reshape(-1, n, n, n0).transpose(0, 2, 1, 3).reshape(G.shape))
+    a, b = np.triu_indices(n, 1)
+    ref = G[a * n + b] @ GA[a * n + b].T
+    assert np.abs(block_trace_gram(alg) - ref).max(initial=0.0) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import GRID, algebra, grid_id, ref_dense_C, triplets_from_dense
+from conftest import GRID, algebra, block_trace_gram, grid_id, ref_dense_C, triplets_from_dense
 
 from ahsnormal.normalization import trace_map_matrix
 from ahsnormal.spencer import (
@@ -15,23 +15,11 @@ from ahsnormal.spencer import (
     d_triplets,
     dstar_triplets,
 )
-from ahsnormal.testkit import _block_trace_rows
 
 # Every singular value of a ranked operator is at most ZERO or at least
 # NONZERO times max(1, smax); measured on GRID: 1.4e-15 and 0.10.
 ZERO = 1e-12
 NONZERO = 1e-3
-
-
-def block_trace_correction(alg) -> np.ndarray:
-    """The map that ``harmonic_sampler(block_trace_free=True)`` pseudo-inverts."""
-    n, n0, _ = alg.dims
-    D, S = d_triplets(alg, 1), dstar_triplets(alg, 0)
-    P, _ = Blocks.split(S @ D).pinv()
-    R = _block_trace_rows(alg, 0)
-    G = R - ((R @ D) @ P) @ S
-    swapped = G.reshape(G.shape[0], n, n, n0).transpose(0, 2, 1, 3).reshape(G.shape)
-    return 0.5 * (G - swapped)
 
 
 def ranked_operators(alg) -> dict[str, np.ndarray]:
@@ -49,7 +37,7 @@ def ranked_operators(alg) -> dict[str, np.ndarray]:
     ops["g0_center_map"] = ref_dense_C(alg)[sl0, sl0, sl0].reshape(n0, n0 * n0).T
     ops["g0_action"] = alg.block(0, -1).reshape(n0, n * n).T
     if alg.kind == "grassmannian" and alg.normalizable:
-        ops["block_trace_correction"] = block_trace_correction(alg)
+        ops["block_trace_gram"] = block_trace_gram(alg)
     return ops
 
 

@@ -356,9 +356,11 @@ def _split_calls(monkeypatch, argv) -> int:
 def test_one_split_per_operator(monkeypatch):
     # per point: the center, the g_0 action and ad, the a < b forms of d at
     # grades 0 and 1 and of d* at grades -1 and 0, d* d at grades -1 and 0,
-    # and the trace map, each once; ad's rank serves faithfulness and H11
+    # and the trace map, each once; ad's rank serves faithfulness and H11.
+    # Each of the 5 normalizable grassmannian points of the default grid
+    # splits one more: the Gram of the sampler's block-trace correction
     assert _split_calls(monkeypatch, ["verify", "--kind", "lagrangian", "--m", "4"]) == 10
-    assert _split_calls(monkeypatch, ["verify"]) == 170
+    assert _split_calls(monkeypatch, ["verify"]) == 175
 
 
 def _arrays(value):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,13 +103,29 @@ def test_harmonic_basis_dimensions_grassmannian():
 
 
 def test_block_trace_correction_vanishes_where_it_is_rounding_noise():
-    # at p = 1 harmonic grade-0 cochains carry no block-trace data: the
-    # correction map's largest singular value is 2.8e-16, all of it rounding
+    # at (1, 2) harmonic grade-0 cochains carry no block-trace data: the
+    # dense correction map's largest singular value is 2.8e-16, all of it
+    # rounding, and the Gram the sampler pseudo-inverts is exactly zero
     alg = algebra("grassmannian", p=1, q=2)
     assert ref_harmonic_basis(alg, 0).shape == ref_harmonic_basis(alg, 0, block_trace_free=True).shape
     got = harmonic_sampler(alg, 0, block_trace_free=True)(np.random.default_rng(5))
     plain = harmonic_sampler(alg, 0)(np.random.default_rng(5))
     np.testing.assert_array_equal(got.data, plain.data)
+
+
+def test_block_trace_free_setup_holds_no_dense_pair_operator():
+    # the correction once took the SVD of a dense (n^2, n^2 n0) map, which
+    # peaked at 63 MB here; its Gram on the a < b rows and the small dense
+    # Y = R D pinv(d* d) need about 2.2 MB
+    alg = algebra("grassmannian", p=4, q=4)
+    harmonic_sampler(alg, 0)  # builds the Spencer complex it shares
+    tracemalloc.start()
+    try:
+        harmonic_sampler(alg, 0, block_trace_free=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 def test_block_trace_free_rejected_off_grassmannian():
